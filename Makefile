@@ -6,7 +6,7 @@ FAULT_RATE ?= 0.5
 # run straight from the source tree; harmless when pip-installed
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test faults contracts obs engine ledger chaos serve serve-test bench-serve tabular-bench scale scale-bench regress engine-demo audit bench examples artifact report trace profile verify-all clean
+.PHONY: install test faults contracts obs engine ledger chaos serve serve-test bench-serve tabular-bench scale scale-bench regress engine-demo audit bench perfbench perfbench-trace examples artifact report trace profile verify-all clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -89,6 +89,15 @@ audit:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# the repository benchmark (BENCHMARK.json): end-to-end metrics of the
+# paper, sharded and serve workloads; perfbench-trace prints the
+# per-layer self times instead
+perfbench:
+	for w in paper sharded serve; do $(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 12 --trace 0 || exit 1; done
+
+perfbench-trace:
+	for w in paper sharded serve; do $(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 12 --trace 1 || exit 1; done
 
 examples:
 	for s in examples/*.py; do echo "== $$s"; $(PYTHON) $$s --help >/dev/null 2>&1 || true; done

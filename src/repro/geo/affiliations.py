@@ -8,6 +8,7 @@ the paper marks unresolvable affiliations as unknown.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -134,12 +135,17 @@ _COUNTRY_HINTS: tuple[tuple[re.Pattern, str], ...] = tuple(
 )
 
 
+@functools.lru_cache(maxsize=65536)
 def classify_affiliation(text: str | None) -> AffiliationGuess:
     """Classify a free-text affiliation into (country, sector).
 
     Returns an :class:`AffiliationGuess` with None fields where no rule
     fires.  The ``matched_rule`` names the sector rule that fired (for
     auditing the hand-coded patterns, as the paper's artifact does).
+
+    Memoized like :func:`repro.names.parsing.cached_name_key`: the
+    function is pure, its result is frozen, and synthetic affiliation
+    strings recur across researchers and shards.
     """
     if not text:
         return AffiliationGuess(None, None, None)

@@ -19,6 +19,7 @@ __all__ = ["HtmlElement", "el", "render", "parse_html"]
 _VOID_TAGS = frozenset({"br", "hr", "img", "meta", "link", "input"})
 
 _ESCAPES = [("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;")]
+_WS = re.compile(r"\s+")
 
 
 def escape(text: str) -> str:
@@ -28,6 +29,8 @@ def escape(text: str) -> str:
 
 
 def unescape(text: str) -> str:
+    if "&" not in text:  # every entity starts with '&'
+        return text
     for raw, enc in reversed(_ESCAPES):
         text = text.replace(enc, raw)
     return text
@@ -53,43 +56,51 @@ class HtmlElement:
     def classes(self) -> frozenset[str]:
         return frozenset(self.attrs.get("class", "").split())
 
+    # The walks below are iterative: ``parse_html`` auto-closes unclosed
+    # tags, so a malformed page can nest deeper than the recursion limit.
+
     def text(self) -> str:
         """Concatenated text of the subtree, whitespace-normalized."""
         parts: list[str] = []
-
-        def walk(node: "HtmlElement | str") -> None:
+        stack: list["HtmlElement | str"] = [self]
+        while stack:
+            node = stack.pop()
             if isinstance(node, str):
                 parts.append(node)
             else:
-                for c in node.children:
-                    walk(c)
-
-        walk(self)
-        return re.sub(r"\s+", " ", "".join(parts)).strip()
+                stack.extend(reversed(node.children))
+        return _WS.sub(" ", "".join(parts)).strip()
 
     def iter(self) -> Iterator["HtmlElement"]:
         """Depth-first iteration over element nodes (self included)."""
-        yield self
-        for c in self.children:
-            if isinstance(c, HtmlElement):
-                yield from c.iter()
+        stack: list[HtmlElement] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack += [c for c in reversed(node.children) if isinstance(c, HtmlElement)]
+
+    def _matching(
+        self, tag: str | None, cls: str | None
+    ) -> Iterator["HtmlElement"]:
+        for node in self.iter():
+            if tag is not None and node.tag != tag:
+                continue
+            if cls is not None:
+                # the same test as ``cls in node.classes``
+                value = node.attrs.get("class")
+                if value is None or cls not in value or cls not in value.split():
+                    continue
+            yield node
 
     def find_all(
         self, tag: str | None = None, cls: str | None = None
     ) -> list["HtmlElement"]:
         """All descendants (self included) matching tag and/or class."""
-        out = []
-        for node in self.iter():
-            if tag is not None and node.tag != tag:
-                continue
-            if cls is not None and cls not in node.classes:
-                continue
-            out.append(node)
-        return out
+        return list(self._matching(tag, cls))
 
     def find(self, tag: str | None = None, cls: str | None = None) -> "HtmlElement | None":
-        hits = self.find_all(tag, cls)
-        return hits[0] if hits else None
+        """The first match in document order, or None."""
+        return next(self._matching(tag, cls), None)
 
 
 def el(tag: str, *children: HtmlElement | str, **attrs: str) -> HtmlElement:
@@ -105,10 +116,10 @@ def render(node: HtmlElement | str, indent: int = 0) -> str:
     """Serialize a tree to HTML text."""
     if isinstance(node, str):
         return escape(node)
-    attrs = "".join(f' {k}="{escape(v)}"' for k, v in node.attrs.items())
+    attrs = "".join([f' {k}="{escape(v)}"' for k, v in node.attrs.items()])
     if node.tag in _VOID_TAGS:
         return f"<{node.tag}{attrs}/>"
-    inner = "".join(render(c) for c in node.children)
+    inner = "".join([render(c) for c in node.children])
     return f"<{node.tag}{attrs}>{inner}</{node.tag}>"
 
 
@@ -151,13 +162,19 @@ def parse_html(text: str) -> HtmlElement:
             if raw_text.strip() or len(stack) > 1:
                 stack[-1].children.append(unescape(raw_text))
         elif open_tag is not None:
-            attrs = {k: unescape(v) for k, v in _ATTR.findall(attr_text or "")}
-            node = HtmlElement(open_tag.lower(), attrs)
+            tag = open_tag.lower()
+            attrs = (
+                {k: unescape(v) for k, v in _ATTR.findall(attr_text)} if attr_text else {}
+            )
+            node = HtmlElement(tag, attrs)
             stack[-1].children.append(node)
-            if not self_close and open_tag.lower() not in _VOID_TAGS:
+            if not self_close and tag not in _VOID_TAGS:
                 stack.append(node)
         elif close_tag is not None:
             name = close_tag.lower()
+            if stack[-1].tag == name:  # the well-formed case
+                stack.pop()
+                continue
             # pop until match; tolerate interleaving by auto-closing
             names = [n.tag for n in stack[1:]]
             if name not in names:

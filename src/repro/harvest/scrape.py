@@ -87,6 +87,19 @@ def _safe_parse(page: str):
         return parse_html("")
 
 
+def _role_items(root) -> dict[str, list]:
+    """``li`` nodes per role class, in ``_ROLE_CLASSES`` then document order."""
+    buckets: dict[str, list] = {cls: [] for cls in _ROLE_CLASSES}
+    for node in root.iter():
+        if node.tag != "li":
+            continue
+        for cls in dict.fromkeys(node.attrs.get("class", "").split()):
+            bucket = buckets.get(cls)
+            if bucket is not None:
+                bucket.append(node)
+    return buckets
+
+
 def _email_between_brackets(line: str) -> str | None:
     """The address in a ``Name <addr>`` contact line, if well-formed.
 
@@ -120,9 +133,8 @@ def scrape_site(
 
     # ---- roles --------------------------------------------------------------
     for page in (site.committees_html, site.program_html):
-        root = _safe_parse(page)
-        for cls in _ROLE_CLASSES:
-            for node in root.find_all(tag="li", cls=cls):
+        for cls, nodes in _role_items(_safe_parse(page)).items():
+            for node in nodes:
                 # scrub NBSP/zero-width junk *before* the name becomes a
                 # record: identity resolution keys on this string, and one
                 # invisible character would split a person in two

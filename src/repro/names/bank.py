@@ -8,6 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.names.corpora import CLUSTERS, cluster_for_country
+from repro.util.rng import Categorical
 
 __all__ = ["ForenameEntry", "NameBank", "default_bank"]
 
@@ -25,6 +26,14 @@ class ForenameEntry:
     female_share: float
     weight: int
     cluster: str
+
+
+# a restricted forename pool and its sampler
+_Pool = tuple[list[ForenameEntry], Categorical]
+
+
+def _pool(entries: list[ForenameEntry], weights: np.ndarray) -> _Pool:
+    return entries, Categorical(weights / weights.sum())
 
 
 class NameBank:
@@ -52,15 +61,37 @@ class NameBank:
                     self._entries[name.lower()] = entry
             self._by_cluster[cluster] = rows
         self._surnames = {c: list(d["surnames"]) for c, d in CLUSTERS.items()}
-        # Precompute per-cluster, per-gender sampling weights.
-        self._weights: dict[tuple[str, str], np.ndarray] = {}
+        # Per-cluster, per-gender samplers over the general, confident
+        # and ambiguous forename pools.
+        self._forenames: dict[tuple[str, str], Categorical] = {}
+        self._confident: dict[tuple[str, str], _Pool] = {}
+        self._ambiguous: dict[tuple[str, str], _Pool] = {}
         for cluster, rows in self._by_cluster.items():
             w = np.array([e.weight for e in rows], dtype=float)
             f = np.array([e.female_share for e in rows], dtype=float)
             wf = w * f
             wm = w * (1.0 - f)
-            self._weights[(cluster, "F")] = wf / wf.sum()
-            self._weights[(cluster, "M")] = wm / wm.sum()
+            self._forenames[(cluster, "F")] = Categorical(wf / wf.sum())
+            self._forenames[(cluster, "M")] = Categorical(wm / wm.sum())
+            confident = {
+                "F": [e for e in rows if e.female_share >= 0.92],
+                "M": [e for e in rows if e.female_share <= 0.08],
+            }
+            ambiguous = [e for e in rows if 0.32 < e.female_share < 0.68]
+            if not ambiguous:
+                ambiguous = [min(rows, key=lambda e: abs(e.female_share - 0.5))]
+            share = np.array([e.female_share for e in ambiguous], dtype=float)
+            aw = np.array([e.weight for e in ambiguous], dtype=float)
+            for g, plausible in (("F", share), ("M", 1.0 - share)):
+                # every cluster corpus has confident names; guard anyway
+                pool = confident[g] or rows
+                self._confident[(cluster, g)] = _pool(
+                    pool, np.array([e.weight for e in pool], dtype=float)
+                )
+                w = aw * plausible
+                if w.sum() <= 0:
+                    w = np.ones(len(ambiguous))
+                self._ambiguous[(cluster, g)] = _pool(ambiguous, w)
 
     # ------------------------------------------------------------- sampling
 
@@ -76,9 +107,7 @@ class NameBank:
         rows = self._by_cluster.get(cluster)
         if rows is None:
             raise KeyError(f"unknown cluster {cluster!r}")
-        probs = self._weights[(cluster, gender)]
-        i = int(rng.choice(len(rows), p=probs))
-        return rows[i].name
+        return rows[self._forenames[(cluster, gender)].draw(rng)].name
 
     def sample_surname(self, cluster: str, rng: np.random.Generator) -> str:
         names = self._surnames.get(cluster)
@@ -107,18 +136,10 @@ class NameBank:
         """
         if gender not in ("F", "M"):
             raise ValueError(f"gender must be 'F' or 'M', got {gender!r}")
-        rows = self._by_cluster.get(cluster)
-        if rows is None:
+        if cluster not in self._by_cluster:
             raise KeyError(f"unknown cluster {cluster!r}")
-        if gender == "F":
-            pool = [e for e in rows if e.female_share >= 0.92]
-        else:
-            pool = [e for e in rows if e.female_share <= 0.08]
-        if not pool:  # every cluster corpus has confident names; guard anyway
-            pool = rows
-        w = np.array([e.weight for e in pool], dtype=float)
-        i = int(rng.choice(len(pool), p=w / w.sum()))
-        return pool[i].name
+        pool, draws = self._confident[(cluster, gender)]
+        return pool[draws.draw(rng)].name
 
     def sample_ambiguous_forename(
         self, gender: str, cluster: str, rng: np.random.Generator
@@ -129,19 +150,10 @@ class NameBank:
         how plausible they are for the bearer's true gender.  Falls back
         to the cluster's most ambiguous name when the band is empty.
         """
-        rows = self._by_cluster.get(cluster)
-        if rows is None:
+        if cluster not in self._by_cluster:
             raise KeyError(f"unknown cluster {cluster!r}")
-        pool = [e for e in rows if 0.32 < e.female_share < 0.68]
-        if not pool:
-            pool = [min(rows, key=lambda e: abs(e.female_share - 0.5))]
-        share = np.array([e.female_share for e in pool], dtype=float)
-        w = np.array([e.weight for e in pool], dtype=float)
-        w = w * (share if gender == "F" else (1.0 - share))
-        if w.sum() <= 0:
-            w = np.ones(len(pool))
-        i = int(rng.choice(len(pool), p=w / w.sum()))
-        return pool[i].name
+        pool, draws = self._ambiguous[(cluster, "F" if gender == "F" else "M")]
+        return pool[draws.draw(rng)].name
 
     # -------------------------------------------------------------- lookups
 

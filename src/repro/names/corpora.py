@@ -16,6 +16,8 @@ from the "western" cluster).
 
 from __future__ import annotations
 
+import functools
+
 __all__ = ["CLUSTERS", "cluster_for_country", "FORENAMES", "SURNAMES"]
 
 # (name, female_share, weight)
@@ -191,11 +193,13 @@ _CLUSTER_BY_SUBREGION: dict[str, str] = {
 }
 
 
+@functools.lru_cache(maxsize=1024)
 def cluster_for_country(cca2: str) -> str:
     """Name cluster for a country code (default: 'western').
 
     The mapping is by writing culture: US/EU/Oceania/Latin America share
     the western corpus, East/Southeast Asia the romanized-CJK corpus, etc.
+    Memoized: it is pure and looked up once per generated person.
     """
     from repro.geo.regions import region_of_country
 

@@ -51,6 +51,8 @@ def forename_of(full_name: str) -> str | None:
 
 
 def _strip_accents(text: str) -> str:
+    if text.isascii():  # ASCII is NFKD-invariant and has no combining marks
+        return text
     decomposed = unicodedata.normalize("NFKD", text)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.names.parsing import cached_name_key, name_key
+from repro.names.parsing import cached_name_key
 
 __all__ = ["GSProfile", "GoogleScholarStore"]
 
@@ -54,7 +54,7 @@ class GoogleScholarStore:
         if profile.profile_id in self._profiles:
             raise ValueError(f"duplicate profile id {profile.profile_id!r}")
         self._profiles[profile.profile_id] = profile
-        self._by_name.setdefault(name_key(profile.display_name), []).append(
+        self._by_name.setdefault(cached_name_key(profile.display_name), []).append(
             profile.profile_id
         )
 

@@ -16,7 +16,7 @@ def _as_counts(citations) -> np.ndarray:
     c = np.asarray(citations, dtype=np.int64)
     if c.ndim != 1:
         raise ValueError("citations must be a 1-D vector of counts")
-    if np.any(c < 0):
+    if c.size and c.min() < 0:
         raise ValueError("citation counts must be nonnegative")
     return c
 
@@ -31,15 +31,15 @@ def h_index(citations) -> int:
     if c.size == 0:
         return 0
     desc = np.sort(c)[::-1]
-    ranks = np.arange(1, desc.size + 1)
-    ok = desc >= ranks
-    return int(ranks[ok][-1]) if ok.any() else 0
+    # desc falls while the ranks rise, so ``desc >= ranks`` holds on a
+    # prefix and h is that prefix's length
+    return int(np.count_nonzero(desc >= np.arange(1, desc.size + 1)))
 
 
 def i10_index(citations, threshold: int = 10) -> int:
     """Number of papers with at least ``threshold`` citations (GS's i10)."""
     c = _as_counts(citations)
-    return int(np.sum(c >= threshold))
+    return int(np.count_nonzero(c >= threshold))
 
 
 def g_index(citations) -> int:

@@ -38,10 +38,11 @@ class SemanticScholarStore:
         self._by_name: dict[str, list[str]] = {}
 
     def put(self, person_id: str, record: S2Record) -> None:
-        from repro.names.parsing import name_key
+        from repro.names.parsing import cached_name_key
 
         if person_id not in self._records:
-            self._by_name.setdefault(name_key(record.display_name), []).append(person_id)
+            key = cached_name_key(record.display_name)
+            self._by_name.setdefault(key, []).append(person_id)
         self._records[person_id] = record
 
     def search_name(self, full_name: str) -> list[S2Record]:

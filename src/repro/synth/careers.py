@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.scholar.metrics import h_index as compute_h
+from repro.util.rng import Categorical
 
 __all__ = ["BAND_SHARES", "CareerModel", "Career"]
 
@@ -54,6 +55,9 @@ BAND_SHARES: dict[tuple[str, str], tuple[float, float, float]] = {
 
 _BANDS = ("novice", "mid-career", "experienced")
 
+# validated once; each draw is one rng.random(), as rng.choice(3, p=...)
+_BAND_DRAWS = {key: Categorical(shares) for key, shares in BAND_SHARES.items()}
+
 
 @dataclass(frozen=True)
 class Career:
@@ -74,10 +78,10 @@ class CareerModel:
     # ------------------------------------------------------------- drawing
 
     def draw_band(self, role_kind: str, gender: str) -> str:
-        shares = BAND_SHARES.get((role_kind, gender))
-        if shares is None:
+        draws = _BAND_DRAWS.get((role_kind, gender))
+        if draws is None:
             raise KeyError(f"no band shares for ({role_kind!r}, {gender!r})")
-        return _BANDS[int(self._rng.choice(3, p=np.asarray(shares)))]
+        return _BANDS[draws.draw(self._rng)]
 
     def draw_h(self, band: str) -> int:
         """Target h-index within a band.
@@ -103,7 +107,7 @@ class CareerModel:
         h = self.draw_h(band)
         pubs = self._pubs_for_h(h)
         vector = self._citation_vector(h, pubs)
-        return Career(band, h, pubs, tuple(int(x) for x in vector))
+        return Career(band, h, pubs, tuple(vector.tolist()))
 
     # -------------------------------------------------------- construction
 
@@ -131,19 +135,20 @@ class CareerModel:
         # Top h papers: h + overshoot, decaying. Overshoot gives the heavy
         # right tail seen in Figs. 3-4.
         overshoot = r.geometric(p=0.08, size=h)
-        top = h + np.sort(overshoot)[::-1]
+        overshoot.sort()
+        top = overshoot[::-1] + h
         rest_n = pubs - h
         if rest_n > 0:
             # Strictly below h citations each, skewed toward 0, and below
             # h so they cannot raise the index. Cap also at h-1.
-            rest = np.minimum(
-                r.geometric(p=max(0.15, 2.0 / (h + 2)), size=rest_n) - 1, h - 1
-            )
+            rest = r.geometric(p=max(0.15, 2.0 / (h + 2)), size=rest_n)
+            rest -= 1
+            np.minimum(rest, h - 1, out=rest)
             vec = np.concatenate([top, rest])
         else:
             vec = top
         assert compute_h(vec) == h, (h, pubs, vec[:10])
-        return vec.astype(np.int64)
+        return vec
 
 
 def gs_reported_publications(true_pubs: int, rng: np.random.Generator) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geo.countries import country_by_code
-from repro.names.parsing import name_key
+from repro.names.parsing import cached_name_key
 
 __all__ = ["make_email", "make_affiliation"]
 
@@ -80,7 +80,7 @@ def make_email(
     their ccTLD (with an ``ac``/``gov`` second level); industry gets a
     generic ``.com`` that deliberately carries no country signal.
     """
-    local = name_key(full_name).replace(" ", ".")
+    local = cached_name_key(full_name).replace(" ", ".")
     n = int(rng.integers(1, 99))
     if sector == "COM":
         company = _COMPANIES[int(rng.integers(len(_COMPANIES)))].lower()

@@ -35,9 +35,13 @@ from repro.geo.countries import all_countries, country_by_code
 from repro.names.bank import default_bank
 from repro.names.corpora import cluster_for_country
 from repro.synth.config import WorldConfig
-from repro.util.rng import RngStream
+from repro.util.rng import Categorical, RngStream
 
 __all__ = ["PersonSpec", "Population", "PopulationBuilder"]
+
+# name clusters for people with no resolvable country
+_STATELESS_CLUSTERS = ("western", "east_asian", "south_asian", "middle_eastern")
+_STATELESS_CLUSTER_DRAWS = Categorical([0.55, 0.30, 0.10, 0.05])
 
 
 @dataclass
@@ -263,11 +267,10 @@ class PopulationBuilder:
             combined = region_combined[region.region]
             adj = role_pct / combined if combined > 0 else 1.0
             base = women / total if total else 0.0
-            shares = np.array(
-                [
-                    np.clip(country_pct_w.get(c, base) * adj, 0.005, 0.95)
-                    for c in all_codes
-                ]
+            shares = np.clip(
+                np.array([country_pct_w.get(c, base) for c in all_codes]) * adj,
+                0.005,
+                0.95,
             )
             seed = np.stack(
                 [counts * shares, counts * (1.0 - shares)], axis=1
@@ -331,18 +334,15 @@ class PopulationBuilder:
         n_genderize = int(round(n * TOTALS["genderize_coverage"]))
         n_genderize = min(n_genderize, rest)
         idx = rng.permutation(n)
-        manual_idx = set(int(i) for i in idx[:n_manual])
-        genderize_idx = set(int(i) for i in idx[n_manual : n_manual + n_genderize])
+        manual_idx = set(idx[:n_manual].tolist())
+        genderize_idx = set(idx[n_manual : n_manual + n_genderize].tolist())
         taken_names: set[str] = set()
         alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
         for i, p in enumerate(people):
             cluster = (
                 cluster_for_country(p.country_code)
                 if p.country_code
-                else str(rng.choice(
-                    ["western", "east_asian", "south_asian", "middle_eastern"],
-                    p=[0.55, 0.30, 0.10, 0.05],
-                ))
+                else _STATELESS_CLUSTERS[_STATELESS_CLUSTER_DRAWS.draw(rng)]
             )
             surname = self._bank.sample_surname(cluster, rng)
             if i in manual_idx:

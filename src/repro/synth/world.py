@@ -26,7 +26,7 @@ from repro.gender.model import Gender
 from repro.gender.webevidence import EvidenceKind
 from repro.scholar.citations import accrue_citations
 from repro.scholar.gscholar import GoogleScholarStore, GSProfile
-from repro.scholar.metrics import h_index as compute_h, i10_index
+from repro.scholar.metrics import i10_index
 from repro.scholar.semanticscholar import S2Record, SemanticScholarStore
 from repro.synth.careers import (
     CareerModel,
@@ -240,7 +240,9 @@ def build_world(
                     publications=gs_reported_publications(
                         career.past_publications, gs_rng
                     ),
-                    h_index=compute_h(vec) if vec.size else 0,
+                    # equals h_index(vec): CareerModel builds the vector
+                    # to its target h (and asserts it)
+                    h_index=career.h_index,
                     i10_index=i10_index(vec) if vec.size else 0,
                     citations=int(vec.sum()),
                 )

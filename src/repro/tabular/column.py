@@ -11,6 +11,19 @@ __all__ = ["Column", "infer_dtype"]
 _KINDS = {"int": np.int64, "float": np.float64, "bool": np.bool_, "str": object}
 
 
+def _value_kind(t: type) -> str:
+    """The kind of one value type, as ``isinstance`` would classify it."""
+    if t is type(None):
+        return "none"
+    if issubclass(t, (bool, np.bool_)):
+        return "bool"
+    if issubclass(t, (int, np.integer)):
+        return "int"
+    if issubclass(t, (float, np.floating)):
+        return "float"
+    return "str"  # strings and arbitrary objects ride in object columns
+
+
 def infer_dtype(values: Sequence[Any]) -> str:
     """Infer a column kind ('int' | 'float' | 'bool' | 'str') from values.
 
@@ -19,27 +32,16 @@ def infer_dtype(values: Sequence[Any]) -> str:
     ``None`` entries.  An all-``None``/empty input infers 'str' (the
     most permissive kind).
     """
-    saw_float = saw_int = saw_bool = saw_str = saw_none = False
-    for v in values:
-        if v is None:
-            saw_none = True
-        elif isinstance(v, (bool, np.bool_)):
-            saw_bool = True
-        elif isinstance(v, (int, np.integer)):
-            saw_int = True
-        elif isinstance(v, (float, np.floating)):
-            saw_float = True
-        else:
-            saw_str = True  # strings and arbitrary objects ride in object columns
-    if saw_str:
+    seen = {_value_kind(t) for t in set(map(type, values))}
+    if "str" in seen:
         return "str"
-    if saw_float:
+    if "float" in seen:
         return "float"
-    if saw_int:
-        return "float" if saw_none else "int"
-    if saw_bool:
+    if "int" in seen:
+        return "float" if "none" in seen else "int"
+    if "bool" in seen:
         # bool cannot represent missing (None would coerce to False)
-        return "float" if saw_none else "bool"
+        return "float" if "none" in seen else "bool"
     return "str"
 
 

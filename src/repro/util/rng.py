@@ -16,11 +16,12 @@ streams.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from typing import Iterable
 
 import numpy as np
 
-__all__ = ["derive_seed", "spawn_rng", "RngStream"]
+__all__ = ["derive_seed", "spawn_rng", "RngStream", "Categorical"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -109,3 +110,63 @@ class RngStream:
 
     def __hash__(self) -> int:
         return hash((self._root_seed, self._path))
+
+
+def _kahan_sum(values: list[float]) -> float:
+    """Compensated sum, term for term the one ``Generator.choice`` checks."""
+    if not values:
+        return 0.0
+    total, c = values[0], 0.0
+    for v in values[1:]:
+        y = v - c
+        t = total + y
+        c = (t - total) - y
+        total = t
+    return total
+
+
+class Categorical:
+    """A fixed discrete distribution drawn like ``Generator.choice(n, p=p)``.
+
+    ``Generator.choice`` re-validates ``p`` and rebuilds its CDF on every
+    call, which dominates per-person draws.  This class validates ``p``
+    once (the same checks, messages and tolerance as ``choice``), keeps
+    the same normalized CDF (``cdf = p.cumsum(); cdf /= cdf[-1]``), and
+    draws with the same single ``rng.random()`` double and right-side
+    bisection — so ``Categorical(p).draw(rng)`` returns what
+    ``rng.choice(len(p), p=p)`` returns *and* leaves ``rng`` in the same
+    state (METHODOLOGY §17).
+
+    >>> p = [0.2, 0.5, 0.3]
+    >>> a, b = np.random.default_rng(3), np.random.default_rng(3)
+    >>> Categorical(p).draw(a) == b.choice(3, p=p)
+    True
+    >>> a.random() == b.random()
+    True
+    """
+
+    __slots__ = ("_cdf",)
+
+    def __init__(self, p) -> None:
+        atol = np.sqrt(np.finfo(np.float64).eps)
+        if isinstance(p, np.ndarray) and np.issubdtype(p.dtype, np.floating):
+            atol = max(atol, np.sqrt(np.finfo(p.dtype).eps))
+        arr = np.ascontiguousarray(p, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValueError("p must be 1-dimensional")
+        if arr.size == 0:
+            raise ValueError("a must be a positive integer unless no samples are taken")
+        total = _kahan_sum(arr.tolist())
+        if np.isnan(total):
+            raise ValueError("Probabilities contain NaN")
+        if np.logical_or.reduce(arr < 0):
+            raise ValueError("Probabilities are not non-negative")
+        if abs(total - 1.0) > atol:
+            raise ValueError("Probabilities do not sum to 1")
+        cdf = arr.cumsum()
+        cdf /= cdf[-1]
+        self._cdf: list[float] = cdf.tolist()
+
+    def draw(self, rng: np.random.Generator) -> int:
+        """One index, consuming exactly one ``rng.random()`` double."""
+        return bisect_right(self._cdf, rng.random())
