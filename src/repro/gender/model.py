@@ -49,6 +49,12 @@ class GenderAssignment:
     confidence:
         The stage's confidence: 1.0 for manual pronoun evidence, the
         service probability for genderize, NaN when unassigned.
+
+    Instances are immutable, so the producers hand out one shared
+    instance per recurring value (:meth:`unassigned`, the resolver's
+    manual table, the sensitivity flip).  Pickle's memo then writes
+    each value once per payload and a load creates one object per value
+    instead of one per researcher.
     """
 
     gender: Gender
@@ -61,4 +67,7 @@ class GenderAssignment:
 
     @staticmethod
     def unassigned() -> "GenderAssignment":
-        return GenderAssignment(Gender.UNKNOWN, InferenceMethod.NONE, float("nan"))
+        return _UNASSIGNED
+
+
+_UNASSIGNED = GenderAssignment(Gender.UNKNOWN, InferenceMethod.NONE, float("nan"))

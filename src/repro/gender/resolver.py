@@ -21,6 +21,14 @@ from repro.gender.webevidence import EvidenceKind, WebEvidenceSource
 
 __all__ = ["ResolverPolicy", "GenderResolver"]
 
+# manual evidence yields one of a handful of values: share one instance
+# per (gender, confidence) (see GenderAssignment)
+_MANUAL = {
+    (g, conf): GenderAssignment(g, InferenceMethod.MANUAL, conf)
+    for g in Gender
+    for conf in (1.0, 0.98)
+}
+
 
 @dataclass(frozen=True)
 class ResolverPolicy:
@@ -57,9 +65,9 @@ class GenderResolver:
         if self.policy.use_manual and self._web is not None:
             ev = self._web.lookup(person_id)
             if ev.kind is EvidenceKind.PRONOUN:
-                return GenderAssignment(ev.observed_gender, InferenceMethod.MANUAL, 1.0)
+                return _MANUAL[ev.observed_gender, 1.0]
             if ev.kind is EvidenceKind.PHOTO:
-                return GenderAssignment(ev.observed_gender, InferenceMethod.MANUAL, 0.98)
+                return _MANUAL[ev.observed_gender, 0.98]
         if self.policy.use_genderize and self._genderize is not None:
             resp = self._genderize.query(full_name)
             if (

@@ -10,6 +10,11 @@ from repro.gender.model import Gender, GenderAssignment, InferenceMethod
 
 __all__ = ["reassign_unknowns"]
 
+# one shared forced instance per target (see GenderAssignment)
+_FORCED = {
+    g: GenderAssignment(g, InferenceMethod.SENSITIVITY, 0.0) for g in (Gender.F, Gender.M)
+}
+
 
 def reassign_unknowns(
     assignments: dict[str, GenderAssignment], to: Gender
@@ -21,10 +26,5 @@ def reassign_unknowns(
     """
     if to is Gender.UNKNOWN:
         raise ValueError("sensitivity target must be F or M")
-    out: dict[str, GenderAssignment] = {}
-    for pid, a in assignments.items():
-        if a.known:
-            out[pid] = a
-        else:
-            out[pid] = GenderAssignment(to, InferenceMethod.SENSITIVITY, 0.0)
-    return out
+    forced = _FORCED[to]
+    return {pid: a if a.known else forced for pid, a in assignments.items()}

@@ -14,12 +14,12 @@ splits the universe into conference×edition *shards*
 - a shard's heavyweight intermediates (the synthetic world, harvested
   pages, linked records) die with the node body; only the compact
   per-shard analysis tables flow to the merge;
-- the merge folds shards **in plan order** with the concat-free chunked
-  builder (:mod:`repro.tabular.chunked`) — one ``np.concatenate`` per
-  column — then re-derives the cross-shard researcher identity exactly
-  the way :func:`repro.pipeline.link.link_identities` does within a
-  shard: same normalized name key ⇒ same researcher.  Merge output is
-  byte-identical for any shard-worker count.
+- the merge stacks shards **in plan order** — one ``np.concatenate``
+  per column — then re-derives the cross-shard researcher identity
+  exactly the way :func:`repro.pipeline.link.link_identities` does
+  within a shard: same normalized name key ⇒ same researcher, numbered
+  by first appearance.  Merge output is byte-identical for any
+  shard-worker count.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from repro.pipeline.ingest import ingest_world, ingest_world_resilient
 from repro.pipeline.link import link_identities
 from repro.synth.config import WorldConfig
 from repro.synth.shards import ShardPlan, ShardSpec
-from repro.tabular import ChunkedTableBuilder, Column, Table
+from repro.tabular import Column, Table, concat_tables
+from repro.tabular.codes import factorize
 from repro.util.timing import StageTimer
 
 __all__ = ["ShardResult", "ShardedRunResult", "run_sharded", "build_shard_graph"]
@@ -176,7 +177,11 @@ def stage_shard(spec: ShardSpec, params: ShardParams, inputs: dict) -> dict:
 
 # ---------------------------------------------------------------------- merge
 
-# researcher demographics re-derived from the merged identity (first
+_TABLES = (
+    "researchers", "author_positions", "conf_authors", "papers", "conferences", "role_slots",
+)
+
+# per-researcher columns re-derived from the merged identity (first
 # occurrence in plan order wins, matching link_identities' first-seen
 # spelling rule within a shard)
 _DEMOGRAPHICS = ("gender", "country", "region", "sector")
@@ -192,18 +197,15 @@ class MergedShards:
     shard_keys: tuple[str, ...]
 
 
-def _promoted_schema(tables: list[Table]) -> list[tuple[str, str]]:
-    """Column (name, kind) pairs promoted across shards, order preserved."""
-    order = tables[0].columns
-    schema = []
-    for name in order:
-        kinds = {t.col(name).kind for t in tables}
-        if len(kinds) == 1:
-            kind = kinds.pop()
-        else:
-            kind = "str" if "str" in kinds else "float"
-        schema.append((name, kind))
-    return schema
+def _stack(tables: list[Table]) -> Table:
+    """Shard tables stacked in plan order, kinds promoted across shards.
+
+    Zero-row tables take no part: a shard whose paper list was lost
+    emits column-less tables, and a zero-row table with columns infers
+    every one as ``str``, which would promote ``year`` or ``position``.
+    When every shard's table is empty the first one stands for all.
+    """
+    return concat_tables([t for t in tables if t.num_rows] or tables[:1])
 
 
 def _replace_columns(base: Table, replacements: dict[str, Column]) -> Table:
@@ -213,27 +215,81 @@ def _replace_columns(base: Table, replacements: dict[str, Column]) -> Table:
     )
 
 
-def _gid_array(local2gid: dict, values, count: int) -> np.ndarray:
-    """Local researcher ids → merged gids; missing ids (None) → -1."""
-    return np.fromiter(
-        (-1 if r is None else local2gid[r] for r in values),
-        dtype=np.int64,
-        count=count,
-    )
+def _local_rows(shards: list[ShardResult], attr: str, column: str, row_of: list[dict]):
+    """Stacked researcher row of each local id in ``attr.column``; None → -1."""
+    parts = [
+        np.fromiter(map(lookup.__getitem__, t[column]), dtype=np.int64, count=t.num_rows)
+        for t, lookup in zip((getattr(s.dataset, attr) for s in shards), row_of)
+        if t.num_rows
+    ]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
-def _take_or_none(pool: np.ndarray, gids: np.ndarray) -> np.ndarray:
-    """``pool[gids]`` with ``gids < 0`` mapped to ``None``.
+def _fold_identity(shards: list[ShardResult], stacked: dict[str, Table]) -> AnalysisDataset:
+    """Re-key the stacked shard tables by merged researcher (see stage_merge)."""
+    # merged id: the first-seen code of the name key in plan order, which
+    # numbers researchers exactly as a sequential dict fold would
+    keys = Column("name_key", [k for s in shards for k in s.name_keys], kind="str")
+    fact = factorize(keys)
+    gid, n = fact.codes, fact.n_codes
+    first = np.empty(n, dtype=np.int64)
+    # reversed scatter: the last write per code is its first occurrence
+    first[gid[::-1]] = np.arange(gid.size - 1, -1, -1, dtype=np.int64)
 
-    Single-author papers carry ``last_author=None`` (see
-    ``AnalysisDataset.build``); the sentinel keeps that hole intact
-    through the merge.
-    """
-    out = np.empty(len(gids), dtype=object)
-    mask = gids >= 0
-    out[mask] = pool[gids[mask]]
-    out[~mask] = None
-    return out
+    res = stacked["researchers"]
+    merged = res.take(first)
+    rids = [f"r{g:06d}" for g in range(n)]
+    # per-code values plus a trailing None at code n, the code of a
+    # missing id (a single-author paper's last_author)
+    by_code = {}
+    sources = {"researcher_id": rids, **{d: merged[d] for d in _DEMOGRAPHICS if d in merged}}
+    for name, values in sources.items():
+        by_code[name] = np.empty(n + 1, dtype=object)
+        by_code[name][:n] = values
+    code_of_row = np.append(gid, n)  # stacked researcher row -> code; -1 -> n
+
+    def rekey(name: str, source: str, codes: np.ndarray) -> Column:
+        return Column(name, by_code[source][codes], kind="str")
+
+    offsets = np.cumsum([0] + [len(s.name_keys) for s in shards])
+    row_of = []
+    for s, lo, hi in zip(shards, offsets, offsets[1:]):
+        lookup = {None: -1}
+        if hi > lo:  # a zero-row researchers table has no columns
+            lookup.update(zip(s.dataset.researchers["researcher_id"], range(lo, hi)))
+        row_of.append(lookup)
+
+    # role flags: the OR over occurrences
+    repl = {
+        flag: Column(flag, np.bincount(gid, weights=res[flag], minlength=n) > 0)
+        for flag in ("is_author", "is_pc")
+    }
+    repl["researcher_id"] = rekey("researcher_id", "researcher_id", np.arange(n))
+    tables = {
+        "researchers": _replace_columns(merged, repl),
+        "conferences": stacked["conferences"],
+    }
+    for attr in ("author_positions", "conf_authors", "role_slots"):
+        codes = code_of_row[_local_rows(shards, attr, "researcher_id", row_of)]
+        tables[attr] = _replace_columns(
+            stacked[attr],
+            {name: rekey(name, name, codes) for name in by_code if name in stacked[attr]},
+        )
+    repl = {}
+    for end in ("first", "last"):
+        codes = code_of_row[_local_rows(shards, "papers", f"{end}_author", row_of)]
+        repl[f"{end}_author"] = rekey(f"{end}_author", "researcher_id", codes)
+        repl[f"{end}_gender"] = rekey(f"{end}_gender", "gender", codes)
+    tables["papers"] = _replace_columns(stacked["papers"], repl)
+
+    # assignments are read once per merged researcher, at its first occurrence
+    shard_of = np.repeat(np.arange(len(shards)), np.diff(offsets))[first].tolist()
+    assignments: dict[str, GenderAssignment] = {}
+    for rid, s, local in zip(rids, shard_of, merged["researcher_id"]):
+        a = shards[s].dataset.assignments.get(local)
+        if a is not None:
+            assignments[rid] = a
+    return AnalysisDataset(**tables, assignments=assignments)
 
 
 def stage_merge(params: ShardParams, inputs: dict) -> dict:
@@ -243,159 +299,24 @@ def stage_merge(params: ShardParams, inputs: dict) -> dict:
     the same known failure mode: distinct same-named researchers merge)
     the paper's linking applies within one harvest.  The first
     occurrence, in plan order, contributes the researcher's demographic
-    attributes and gender assignment; later occurrences only extend the
-    role flags.  Every per-researcher column in the position/paper/role
-    tables is then re-derived from the merged identity, so the output is
-    internally consistent and independent of worker count or shard
-    completion order.
+    attributes and gender assignment; the role flags are the OR over
+    all occurrences.  Every per-researcher column in the
+    position/paper/role tables is then re-derived from the merged
+    identity, so the output is internally consistent and independent of
+    worker count or shard completion order.
+
+    The fold is columnar: each table is stacked once, the name keys are
+    factorized once, and flags, first occurrences and re-keyed columns
+    are NumPy gathers and bincounts.
     """
     shards: list[ShardResult] = [inputs[f"shard:{k}"] for k in params.order]
-
-    gid_of: dict[str, int] = {}
-    demo_of = {name: [] for name in _DEMOGRAPHICS}   # per-gid, first occurrence
-    author_flag: list[bool] = []
-    pc_flag: list[bool] = []
-    assignments: dict[str, GenderAssignment] = {}
-
-    res_tables = [s.dataset.researchers for s in shards]
-    res_builder = ChunkedTableBuilder(_promoted_schema(res_tables))
-    builders: dict[str, ChunkedTableBuilder] = {}
-    gid_chunks: dict[str, list[np.ndarray]] = {
-        "author_positions": [],
-        "conf_authors": [],
-        "role_slots": [],
+    stacked = {
+        attr: _stack([getattr(s.dataset, attr) for s in shards]) for attr in _TABLES
     }
-    paper_first_gids: list[np.ndarray] = []
-    paper_last_gids: list[np.ndarray] = []
-    for attr in ("author_positions", "conf_authors", "papers", "conferences", "role_slots"):
-        builders[attr] = ChunkedTableBuilder(
-            _promoted_schema([getattr(s.dataset, attr) for s in shards])
-        )
-
-    for sh in shards:
-        rt = sh.dataset.researchers
-        rids = rt["researcher_id"]
-        genders = rt["gender"]
-        is_author = rt["is_author"]
-        is_pc = rt["is_pc"]
-        gids = np.empty(len(rids), dtype=np.int64)
-        new_rows: list[int] = []
-        for i, key in enumerate(sh.name_keys):
-            g = gid_of.get(key)
-            if g is None:
-                g = len(gid_of)
-                gid_of[key] = g
-                new_rows.append(i)
-                for name in _DEMOGRAPHICS:
-                    demo_of[name].append(rt[name][i])
-                author_flag.append(bool(is_author[i]))
-                pc_flag.append(bool(is_pc[i]))
-                assignment = sh.dataset.assignments.get(rids[i])
-                if assignment is not None:
-                    assignments[f"r{g:06d}"] = assignment
-            else:
-                author_flag[g] = author_flag[g] or bool(is_author[i])
-                pc_flag[g] = pc_flag[g] or bool(is_pc[i])
-            gids[i] = g
-        local2gid = dict(zip(rids, gids))
-
-        if new_rows:
-            idx = np.array(new_rows, dtype=np.int64)
-            res_builder.append({n: rt.col(n).values[idx] for n in rt.columns})
-
-        for attr in ("author_positions", "conf_authors", "role_slots"):
-            tbl = getattr(sh.dataset, attr)
-            g = np.fromiter(
-                (local2gid[r] for r in tbl["researcher_id"]),
-                dtype=np.int64,
-                count=tbl.num_rows,
-            )
-            gid_chunks[attr].append(g)
-            builders[attr].append({n: tbl.col(n).values for n in tbl.columns})
-
-        pt = sh.dataset.papers
-        paper_first_gids.append(
-            _gid_array(local2gid, pt["first_author"], pt.num_rows)
-        )
-        paper_last_gids.append(
-            _gid_array(local2gid, pt["last_author"], pt.num_rows)
-        )
-        builders["papers"].append({n: pt.col(n).values for n in pt.columns})
-        ct = sh.dataset.conferences
-        builders["conferences"].append({n: ct.col(n).values for n in ct.columns})
-
-    n = len(gid_of)
-    rid_str = np.empty(n, dtype=object)
-    rid_str[:] = [f"r{g:06d}" for g in range(n)]
-    demo_arr = {}
-    for name in _DEMOGRAPHICS:
-        arr = np.empty(n, dtype=object)
-        arr[:] = demo_of[name]
-        demo_arr[name] = arr
-
-    researchers = _replace_columns(
-        res_builder.build(),
-        {
-            "researcher_id": Column("researcher_id", rid_str, kind="str"),
-            "is_author": Column("is_author", np.array(author_flag, dtype=bool), kind="bool"),
-            "is_pc": Column("is_pc", np.array(pc_flag, dtype=bool), kind="bool"),
-        },
-    )
-
-    tables: dict[str, Table] = {}
-    for attr in ("author_positions", "conf_authors", "role_slots"):
-        base = builders[attr].build()
-        gid_all = (
-            np.concatenate(gid_chunks[attr])
-            if gid_chunks[attr]
-            else np.empty(0, dtype=np.int64)
-        )
-        repl = {
-            "researcher_id": Column("researcher_id", rid_str[gid_all], kind="str")
-        }
-        for name in _DEMOGRAPHICS:
-            if name in base:
-                repl[name] = Column(name, demo_arr[name][gid_all], kind="str")
-        tables[attr] = _replace_columns(base, repl)
-
-    papers_base = builders["papers"].build()
-    fg = (
-        np.concatenate(paper_first_gids)
-        if paper_first_gids
-        else np.empty(0, dtype=np.int64)
-    )
-    lg = (
-        np.concatenate(paper_last_gids)
-        if paper_last_gids
-        else np.empty(0, dtype=np.int64)
-    )
-    papers = _replace_columns(
-        papers_base,
-        {
-            "first_author": Column(
-                "first_author", _take_or_none(rid_str, fg), kind="str"
-            ),
-            "last_author": Column(
-                "last_author", _take_or_none(rid_str, lg), kind="str"
-            ),
-            "first_gender": Column(
-                "first_gender", _take_or_none(demo_arr["gender"], fg), kind="str"
-            ),
-            "last_gender": Column(
-                "last_gender", _take_or_none(demo_arr["gender"], lg), kind="str"
-            ),
-        },
-    )
-
-    dataset = AnalysisDataset(
-        researchers=researchers,
-        author_positions=tables["author_positions"],
-        conf_authors=tables["conf_authors"],
-        papers=papers,
-        conferences=builders["conferences"].build(),
-        role_slots=tables["role_slots"],
-        assignments=assignments,
-    )
+    if any(s.name_keys for s in shards):
+        dataset = _fold_identity(shards, stacked)
+    else:  # every shard lost its editions: nothing to re-key
+        dataset = AnalysisDataset(**stacked)
 
     degraded = None
     if params.faults is not None:
@@ -414,7 +335,7 @@ def stage_merge(params: ShardParams, inputs: dict) -> dict:
 
     merged = MergedShards(
         dataset=dataset,
-        coverage=GenderResolver.coverage(assignments),
+        coverage=GenderResolver.coverage(dataset.assignments),
         degraded=degraded,
         shard_keys=tuple(params.order),
     )

@@ -90,6 +90,11 @@ class TestSensitivity:
         assert out["b"].gender is Gender.M
         assert out["b"].method is InferenceMethod.SENSITIVITY
 
+    def test_forced_assignments_are_one_shared_value(self):
+        assignments = {k: GenderAssignment.unassigned() for k in "abc"}
+        out = reassign_unknowns(assignments, Gender.F)
+        assert out["a"] is out["b"] is out["c"]
+
     def test_rejects_unknown_target(self):
         with pytest.raises(ValueError):
             reassign_unknowns({}, Gender.UNKNOWN)

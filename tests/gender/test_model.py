@@ -27,6 +27,12 @@ class TestAssignment:
         assert a.method is InferenceMethod.NONE
         assert math.isnan(a.confidence)
 
+    def test_unassigned_is_one_shared_value(self):
+        # one shared instance: pickle writes it once per payload, and the
+        # shared NaN makes it equal to itself
+        assert GenderAssignment.unassigned() is GenderAssignment.unassigned()
+        assert GenderAssignment.unassigned() == GenderAssignment.unassigned()
+
     def test_known_assignment(self):
         a = GenderAssignment(Gender.F, InferenceMethod.MANUAL, 1.0)
         assert a.known

@@ -32,6 +32,19 @@ class TestCascade:
         assert a.method is InferenceMethod.MANUAL
         assert a.confidence < 1.0
 
+    def test_manual_assignments_are_shared_values(self):
+        web = make_web(
+            {p: EvidenceKind.PRONOUN for p in ("p1", "p2")}
+            | {p: EvidenceKind.PHOTO for p in ("p3", "p4")}
+            | {"p5": EvidenceKind.NONE, "p6": EvidenceKind.NONE},
+            {p: Gender.F for p in ("p1", "p2", "p3", "p4", "p5", "p6")},
+        )
+        r = GenderResolver(web, GenderizeClient(0))
+        assert r.resolve("p1", "Wei Zhang") is r.resolve("p2", "Ana Lima")
+        assert r.resolve("p3", "Wei Zhang") is r.resolve("p4", "Ana Lima")
+        assert r.resolve("p1", "Wei Zhang") is not r.resolve("p3", "Wei Zhang")
+        assert r.resolve("p5", "Zzyzx Qqq") is r.resolve("p6", "Qqq Zzyzx")
+
     def test_genderize_fallback_confident_name(self):
         web = make_web({"p1": EvidenceKind.NONE}, {"p1": Gender.F})
         r = GenderResolver(web, GenderizeClient(0))
