@@ -17,7 +17,7 @@ from repro.contracts import (
     ValidationMode,
     validate_harvest,
 )
-from repro.pipeline import run_pipeline
+from repro.pipeline import RunConfig, run_pipeline
 from repro.pipeline.ingest import ingest_world
 from repro.synth import WorldConfig, build_world
 
@@ -40,7 +40,7 @@ def test_pipeline_unvalidated(benchmark, world):
 
 def test_pipeline_validate_repair(benchmark, world):
     """The default mode end-to-end; compare against the baseline bench."""
-    res = benchmark(run_pipeline, world=world, validation="repair")
+    res = benchmark(run_pipeline, RunConfig(validation="repair"), world=world)
     contracts_ms = 1e3 * res.timer.durations.get("contracts", 0.0)
     audit_ms = 1e3 * res.timer.durations.get("audit", 0.0)
     benchmark.extra_info["contracts_ms"] = round(contracts_ms, 2)
@@ -53,7 +53,7 @@ def test_pipeline_validate_repair(benchmark, world):
 
 def test_pipeline_validate_audit(benchmark, world):
     """Audit mode: validation without any repair attempts."""
-    res = benchmark(run_pipeline, world=world, validation="audit")
+    res = benchmark(run_pipeline, RunConfig(validation="audit"), world=world)
     assert res.contracts is not None
 
 

@@ -10,7 +10,7 @@ benches isolate the per-event costs that overhead is built from.
 import pytest
 
 from repro.obs import MetricsRegistry, ObsContext, Tracer, chrome_trace
-from repro.pipeline import run_pipeline
+from repro.pipeline import RunConfig, run_pipeline
 from repro.synth import WorldConfig, build_world
 
 
@@ -29,7 +29,7 @@ def test_pipeline_observed(benchmark, world):
     """Spans + metrics on; compare against the bare bench (<5% target)."""
 
     def run():
-        return run_pipeline(world=world, obs=ObsContext(seed=7))
+        return run_pipeline(RunConfig(obs=ObsContext(seed=7)), world=world)
 
     res = benchmark(run)
     obs = res.obs
@@ -42,7 +42,7 @@ def test_pipeline_profiled(benchmark, world):
     """cProfile capture per stage — diagnostic mode, allowed to be slower."""
 
     def run():
-        return run_pipeline(world=world, obs=ObsContext(seed=7, profile=True))
+        return run_pipeline(RunConfig(obs=ObsContext(seed=7, profile=True)), world=world)
 
     res = benchmark(run)
     benchmark.extra_info["profiled_stages"] = len(res.obs.profiler.profiles)
@@ -79,7 +79,7 @@ def test_metrics_inc_and_observe(benchmark):
 def test_chrome_trace_export(benchmark, world):
     """Rendering a full run's trace to the Chrome trace-event document."""
     obs = ObsContext(seed=7)
-    run_pipeline(world=world, obs=obs)
+    run_pipeline(RunConfig(obs=obs), world=world)
 
     doc = benchmark(chrome_trace, obs.tracer)
     benchmark.extra_info["events"] = len(doc["traceEvents"])

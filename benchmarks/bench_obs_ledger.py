@@ -14,7 +14,7 @@ import pytest
 from repro.obs import ObsContext
 from repro.obs.ledger import RunLedger, build_run_record
 from repro.obs.sentinel import regress
-from repro.pipeline import run_pipeline
+from repro.pipeline import RunConfig, run_pipeline
 from repro.synth import WorldConfig, build_world
 
 
@@ -27,7 +27,7 @@ def test_pipeline_observed(benchmark, world):
     """Baseline: spans + metrics on, no ledger (bench_obs's observed run)."""
 
     def run():
-        return run_pipeline(world=world, obs=ObsContext(seed=7))
+        return run_pipeline(RunConfig(obs=ObsContext(seed=7)), world=world)
 
     res = benchmark(run)
     benchmark.extra_info["researchers"] = res.dataset.researchers.num_rows
@@ -39,7 +39,7 @@ def test_pipeline_ledgered(benchmark, world, tmp_path_factory):
 
     def run():
         obs = ObsContext(seed=7)
-        res = run_pipeline(world=world, obs=obs)
+        res = run_pipeline(RunConfig(obs=obs), world=world)
         record = build_run_record(res, command="bench")
         return ledger.append(record, events=obs.events)
 

@@ -19,7 +19,6 @@ from repro.faults.degradation import DegradedCoverage, LossRecord
 from repro.faults.plan import FaultConfig
 from repro.gender.resolver import ResolverPolicy
 from repro.obs.context import ObsContext
-from repro.pipeline.checkpoint import CheckpointMismatch, CheckpointStore
 from repro.pipeline.config import EngineConfig, RunConfig
 from repro.pipeline.dataset import AnalysisDataset
 from repro.pipeline.runner import PipelineResult, run_pipeline
@@ -61,6 +60,4 @@ __all__ = [
     "ArtifactCache",
     "StageGraph",
     "StageNode",
-    "CheckpointStore",
-    "CheckpointMismatch",
 ]

@@ -11,9 +11,8 @@
 Common options: ``--seed`` (default 7), ``--scale`` (default 1.0).
 Resilience options: ``--fault-rate``/``--fault-seed`` run the pipeline
 under the deterministic fault model (degraded coverage is reported, the
-run never aborts); ``--checkpoint-dir``/``--resume`` checkpoint each
-stage so an interrupted run picks up where it stopped; ``--workers``
-parallelizes the ingest stage deterministically.
+run never aborts); ``--workers`` parallelizes the ingest stage
+deterministically.
 Contract options: ``--validate={strict,repair,audit,off}`` (default
 ``repair``) runs every stage hand-off under the data contracts —
 ``strict`` exits non-zero at the first violating record or failing
@@ -26,11 +25,12 @@ per-stage cProfile top-N after the run, ``--ledger`` appends the run's
 :class:`~repro.obs.ledger.RunRecord` (config fingerprint, stage facts,
 cache counters, scientific-output digests) plus its full event stream
 to the append-only ledger under ``--obs-dir/ledger/``.
-Engine options: ``--cache-dir`` runs on the stage-DAG engine with a
-content-addressed artifact cache (a warm run re-executes zero stage
-bodies); ``--engine`` selects the engine without caching;
-``--engine-workers`` runs independent stages concurrently;
-``--refresh-cache`` recomputes and overwrites cached artifacts.
+Engine options: every run executes on the stage-DAG engine.
+``--cache-dir`` gives it a content-addressed artifact cache (a warm run
+re-executes zero stage bodies; rerunning an interrupted run resumes
+from every node and shard it finished); ``--engine-workers`` runs
+independent stages concurrently; ``--refresh-cache`` recomputes and
+overwrites cached artifacts.
 
 Cache maintenance: ``repro cache stats`` / ``verify`` / ``gc`` /
 ``quarantine`` (with ``--cache-dir``) inspect and repair the artifact
@@ -117,7 +117,7 @@ OPTION_GROUPS: tuple[tuple[str, str, tuple[tuple[str, dict], ...]], ...] = (
     ),
     (
         "resilience",
-        "fault injection and checkpoint/resume",
+        "fault injection",
         (
             (
                 "--fault-rate",
@@ -135,18 +135,6 @@ OPTION_GROUPS: tuple[tuple[str, str, tuple[tuple[str, dict], ...]], ...] = (
                     default=None,
                     help="seed of the deterministic fault plan (default: the "
                     "world seed)",
-                ),
-            ),
-            (
-                "--checkpoint-dir",
-                dict(default=None, help="directory for per-stage pipeline checkpoints"),
-            ),
-            (
-                "--resume",
-                dict(
-                    action="store_true",
-                    default=False,
-                    help="reuse matching checkpoints in --checkpoint-dir",
                 ),
             ),
         ),
@@ -229,18 +217,9 @@ OPTION_GROUPS: tuple[tuple[str, str, tuple[tuple[str, dict], ...]], ...] = (
                 "--cache-dir",
                 dict(
                     default=None,
-                    help="content-addressed artifact cache directory; implies "
-                    "the stage-DAG engine — a warm run re-executes zero "
-                    "stage bodies",
-                ),
-            ),
-            (
-                "--engine",
-                dict(
-                    action="store_true",
-                    default=False,
-                    help="run on the stage-DAG engine even without a cache "
-                    "(independent stages may run concurrently)",
+                    help="content-addressed artifact cache directory — a warm "
+                    "run re-executes zero stage bodies, an interrupted run "
+                    "rerun against it resumes per node and per shard",
                 ),
             ),
             (
@@ -430,8 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _result(args):
-    if args.resume and not args.checkpoint_dir:
-        raise SystemExit("--resume requires --checkpoint-dir")
     rc = RunConfig.from_cli(args)
     if rc.shards is not None:
         from repro.pipeline.sharded import run_sharded
@@ -566,8 +543,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.engine.cache import ArtifactCache
-    from repro.pipeline.checkpoint import CheckpointMismatch
+    from repro.engine.cache import ArtifactCache, CacheMismatch
 
     if args.cache_dir is None:
         print("repro cache requires --cache-dir", file=sys.stderr)
@@ -577,7 +553,7 @@ def _cmd_cache(args) -> int:
         return 2
     try:
         cache = ArtifactCache.if_exists(args.cache_dir)
-    except CheckpointMismatch as exc:
+    except CacheMismatch as exc:
         print(f"not an engine cache: {exc}", file=sys.stderr)
         return 2
     if cache is None:

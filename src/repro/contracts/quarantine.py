@@ -27,7 +27,7 @@ __all__ = ["Disposition", "QuarantineEntry", "QuarantineStore"]
 
 
 class Disposition:
-    """String constants (kept trivial for pickling/checkpoints)."""
+    """String constants (kept trivial for pickling and caching)."""
 
     REPAIRED = "repaired"
     HELD = "held"

@@ -1,13 +1,13 @@
-"""Content-addressed artifact cache, persisted via the checkpoint store.
+"""Content-addressed artifact cache: the pipeline's one persistence mechanism.
 
 Each entry is one node materialization, keyed by the node's fingerprint
 (world/config digest + node params + upstream digests — see
-:mod:`repro.engine.fingerprint`).  :class:`~repro.pipeline.checkpoint.CheckpointStore`
-provides the on-disk discipline the checkpoint layer already had:
-atomic, fsynced writes and a ``meta.json`` fingerprint that refuses to
-serve a directory written by an incompatible engine
-(:class:`~repro.pipeline.checkpoint.CheckpointMismatch`) instead of
-silently mixing formats.
+:mod:`repro.engine.fingerprint`).  Writes are atomic and fsynced, and a
+``meta.json`` format stamp refuses to serve a directory written by an
+incompatible engine (:class:`CacheMismatch`) instead of silently mixing
+formats.  The executor saves each node's outputs the moment that node
+finishes, so an interrupted run resumes per node (and per shard) by
+rerunning against the same directory.
 
 Keys are content-addressed, so one cache directory serves any number of
 distinct runs — different seeds, scales, policies — side by side; a
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import os
 import pickle
 from pathlib import Path
@@ -36,14 +37,19 @@ from typing import Any, Iterator
 
 from repro.engine.fingerprint import ENGINE_SCHEMA
 from repro.obs.context import current as _obs
-from repro.pipeline.checkpoint import CheckpointMismatch, CheckpointStore
 
 try:  # advisory locking is POSIX-only; the cache degrades gracefully
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-__all__ = ["ArtifactCache", "CACHE_FORMAT", "QUARANTINE_DIR"]
+__all__ = [
+    "ArtifactCache",
+    "CACHE_FORMAT",
+    "CacheMismatch",
+    "CacheWriteError",
+    "QUARANTINE_DIR",
+]
 
 # identifies the cache directory layout + pickle protocol discipline;
 # bump on incompatible change so old directories are refused, not
@@ -52,30 +58,83 @@ __all__ = ["ArtifactCache", "CACHE_FORMAT", "QUARANTINE_DIR"]
 # fingerprints did not change, only the storage wrapper did).
 CACHE_FORMAT = {"format": "repro-engine-cache", "schema": ENGINE_SCHEMA, "entry": 2}
 
+META = "meta.json"
 QUARANTINE_DIR = "quarantine"
 _ENVELOPE_KEYS = {"key", "digest", "payload"}
+
+
+class CacheMismatch(ValueError):
+    """The directory is not an engine cache of this format."""
+
+
+class CacheWriteError(OSError):
+    """An atomic cache write failed before the entry landed.
+
+    Raised in place of the raw ``OSError`` so callers can distinguish
+    "the cache could not persist" from unrelated I/O failures.  The
+    partial ``*.tmp`` file has already been removed — a failed write
+    leaves no debris for a later directory scan to trip over.
+    """
+
+
+def _atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically *and durably*.
+
+    The temp file is fsynced before the rename and the directory entry
+    after it — without both, a crash between write and disk flush can
+    leave a truncated entry under the final name, which a later run
+    would trust.
+
+    A mid-stream failure (disk full, quota, I/O error) removes the
+    partial temp file and raises :class:`CacheWriteError`; the final
+    ``path`` is never touched on failure.
+    """
+    tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise CacheWriteError(
+            f"atomic write to {path} failed mid-stream: {exc}"
+        ) from exc
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 class ArtifactCache:
     """Filesystem cache of node outputs, one pickle per materialization."""
 
     def __init__(self, root: str | Path) -> None:
-        root_path = Path(root)
-        # a populated directory without our meta.json is somebody else's
-        # data — begin() would wipe it, so refuse instead
-        if (
-            root_path.is_dir()
-            and any(root_path.iterdir())
-            and not (root_path / CheckpointStore.META).exists()
-        ):
-            raise CheckpointMismatch(
-                f"{root_path} exists, is not empty, and is not an engine "
-                f"cache directory; refusing to adopt (or wipe) it"
+        self.root = Path(root)
+        meta = self.root / META
+        if meta.exists():
+            on_disk = json.loads(meta.read_text(encoding="utf-8"))
+            if on_disk != CACHE_FORMAT:
+                raise CacheMismatch(
+                    f"cache at {self.root} was written by a different engine: "
+                    f"{on_disk} != {CACHE_FORMAT}"
+                )
+        elif self.root.is_dir() and any(self.root.iterdir()):
+            # a populated directory without our meta.json is somebody
+            # else's data — refuse to adopt it
+            raise CacheMismatch(
+                f"{self.root} exists, is not empty, and is not an engine "
+                f"cache directory; refusing to adopt it"
             )
-        self._store = CheckpointStore(root_path, dict(CACHE_FORMAT))
-        # resume semantics on purpose: reuse a matching directory, raise
-        # CheckpointMismatch on a foreign one, create a missing one
-        self._store.begin(resume=True)
+        else:
+            self.root.mkdir(parents=True, exist_ok=True)
+            stamp = {k: CACHE_FORMAT[k] for k in sorted(CACHE_FORMAT)}
+            _atomic_write(meta, json.dumps(stamp, indent=2).encode("utf-8"))
 
     @classmethod
     def if_exists(cls, root: str | Path) -> "ArtifactCache | None":
@@ -85,17 +144,12 @@ class ArtifactCache:
         to report an empty cache without materializing the directory as
         a side effect.  A missing or empty path is simply "no cache";
         a populated foreign directory still raises
-        :class:`~repro.pipeline.checkpoint.CheckpointMismatch` — absence
-        is benign, misidentity is not.
+        :class:`CacheMismatch` — absence is benign, misidentity is not.
         """
         root_path = Path(root)
         if not root_path.is_dir() or not any(root_path.iterdir()):
             return None
         return cls(root_path)
-
-    @property
-    def root(self) -> Path:
-        return self._store.root
 
     @property
     def quarantine_dir(self) -> Path:
@@ -107,7 +161,10 @@ class ArtifactCache:
 
     def entry_path(self, node: str, key: str) -> Path:
         """On-disk location of one entry (exists only after a save)."""
-        return self._store.stage_path(self._entry(node, key))
+        return self._path(self._entry(node, key))
+
+    def _path(self, entry: str) -> Path:
+        return self.root / f"{entry}.stage.pkl"
 
     # --------------------------------------------------------------- locking
 
@@ -128,7 +185,7 @@ class ArtifactCache:
     # ------------------------------------------------------------ load/save
 
     def has(self, node: str, key: str) -> bool:
-        return self._store.has_stage(self._entry(node, key))
+        return self.entry_path(node, key).exists()
 
     def load(self, node: str, key: str) -> dict[str, Any]:
         """Load one node's output dict; raises ``KeyError`` on a miss.
@@ -139,10 +196,11 @@ class ArtifactCache:
         time, never a run.
         """
         entry = self._entry(node, key)
-        if not self._store.has_stage(entry):
+        path = self.entry_path(node, key)
+        if not path.exists():
             raise KeyError(f"cache miss for node {node!r} key {key[:12]}…")
         try:
-            envelope = self._store.load_stage(entry)
+            envelope = pickle.loads(path.read_bytes())
         except FileNotFoundError:
             # concurrent gc/quarantine won the race; a plain miss
             raise KeyError(f"cache miss for node {node!r} key {key[:12]}…")
@@ -184,14 +242,14 @@ class ArtifactCache:
             "payload": payload,
         }
         with self._locked():
-            self._store.save_stage(self._entry(node, key), envelope)
+            _atomic_write(self.entry_path(node, key), pickle.dumps(envelope))
         _obs().event("cache.store", node, key=key[:16])
 
     # ---------------------------------------------------------- quarantine
 
     def _quarantine(self, entry: str, node: str, reason: str) -> None:
         """Move one damaged entry aside; never raises."""
-        src = self._store.stage_path(entry)
+        src = self._path(entry)
         qdir = self.quarantine_dir
         try:
             qdir.mkdir(exist_ok=True)
@@ -248,7 +306,7 @@ class ArtifactCache:
     def _entry_fault(self, entry: str) -> str | None:
         """The reason one entry is damaged, or ``None`` if servable."""
         try:
-            envelope = self._store.load_stage(entry)
+            envelope = pickle.loads(self._path(entry).read_bytes())
         except FileNotFoundError:
             return None  # vanished mid-scan: nothing left to quarantine
         except Exception:

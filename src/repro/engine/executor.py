@@ -12,7 +12,9 @@ digests, e.g. the world fingerprint) — and then either
   of its generation when an :class:`EngineConfig` requests workers —
   via the same deterministic ``parallel_map`` pool the ingest stage
   uses, so results are bit-identical across worker counts — and stores
-  the outputs for the next run.
+  the outputs for the next run as soon as the node finishes (inside
+  the worker, for pooled generations), so a run that dies part-way
+  keeps every node it completed.
 
 Execution policy (worker counts, directories, refresh) never enters a
 key: a serial run and a parallel run address the same cache entries.
@@ -32,7 +34,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.engine.cache import ArtifactCache
+from repro.engine.cache import ArtifactCache, CacheWriteError
 from repro.engine.dag import StageGraph
 from repro.engine.fingerprint import fingerprint
 from repro.engine.node import NodeResult, StageNode
@@ -85,20 +87,40 @@ class EngineRun:
         return self.artifacts[artifact]
 
 
-def _node_task(task: tuple[StageNode, Any, dict[str, Any]]) -> dict[str, Any]:
-    """Execute one node body (module-level: picklable for workers)."""
-    node, params, inputs = task
+def _node_task(task: tuple) -> dict[str, Any]:
+    """Execute one node body and cache its outputs (picklable for workers).
+
+    ``task`` is ``(node, params, inputs, cache, key)``; ``cache`` is
+    ``None`` when the node's outputs are not to be stored.
+    """
+    node, params, inputs, cache, key = task
     ctx = _obs()
     ctx.event("stage.start", node.name)
     with ctx.span("engine.node", node=node.name, cache_hit=False):
-        outputs = node.fn(params, inputs)
+        with ctx.profiled(node.name):
+            outputs = node.fn(params, inputs)
     ctx.event("stage.end", node.name, cache_hit=False)
     missing = set(node.outputs) - set(outputs)
     if missing:
         raise RuntimeError(
             f"node {node.name!r} did not produce declared outputs: {sorted(missing)}"
         )
+    if cache is not None:
+        cache.save(node.name, key, outputs)
     return outputs
+
+
+def _tasks(run: EngineRun, nodes, keys, params, cache) -> list[tuple]:
+    return [
+        (
+            node,
+            params,
+            {a: run.artifacts[a] for a in node.inputs},
+            cache if node.cacheable else None,
+            keys[node.name],
+        )
+        for node in nodes
+    ]
 
 
 def run_dag(
@@ -196,10 +218,7 @@ def run_dag(
 def _run_bare(run, digests, pending, keys, params, cfg, cache, timer) -> None:
     """One generation, historical semantics: any exception aborts."""
     ctx = _obs()
-    tasks = [
-        (node, params, {a: run.artifacts[a] for a in node.inputs})
-        for node in pending
-    ]
+    tasks = _tasks(run, pending, keys, params, cache)
     if cfg.workers and cfg.workers > 1 and len(pending) > 1:
         pool = ParallelConfig(workers=cfg.workers, min_items_per_worker=1)
         label = "+".join(n.name for n in pending)
@@ -215,8 +234,6 @@ def _run_bare(run, digests, pending, keys, params, cfg, cache, timer) -> None:
         key = keys[node.name]
         ctx.metrics.inc("engine.cache.misses")
         ctx.metrics.inc("engine.nodes_executed")
-        if cache is not None and node.cacheable:
-            cache.save(node.name, key, outputs)
         _adopt(run, digests, node, key, outputs, cache_hit=False)
 
 
@@ -265,10 +282,7 @@ def _run_supervised(
                 dispatch.append(node)
 
         if dispatch:
-            tasks = [
-                (node, params, {a: run.artifacts[a] for a in node.inputs})
-                for node in dispatch
-            ]
+            tasks = _tasks(run, dispatch, keys, params, cache)
             deadlines = [sup.policy(n.name).deadline for n in dispatch]
             use_pool = cfg.workers and cfg.workers > 1 and len(dispatch) > 1
             if use_pool and any(d is not None for d in deadlines):
@@ -303,6 +317,11 @@ def _run_supervised(
             name = node.name
             out = outcomes[name]
             if isinstance(out, TaskError):
+                if out.kind == CacheWriteError.__name__:
+                    # the body finished but its entry could not land
+                    # (disk full, quota): a retry would recompute the
+                    # body and fail the same way, so abort as unsupervised
+                    raise CacheWriteError(out.message)
                 if out.kind == DEADLINE_ERROR:
                     ctx.event("node.timeout", name, attempt=attempts[name])
                     ctx.metrics.inc("engine.node.timeouts")
@@ -334,7 +353,7 @@ def _run_supervised(
                 ctx.metrics.inc("engine.cache.misses")
                 ctx.metrics.inc("engine.nodes_executed")
                 if cache is not None and node.cacheable:
-                    cache.save(name, key, out)
+                    # the node task already saved the entry
                     wkind = sup.draw_write(name, key)
                     if wkind is not None:
                         # the entry this run just wrote gets damaged on

@@ -3,7 +3,7 @@
 A node's cache key must be a pure function of *what the node would
 compute*: the world/config fingerprint, the node's own declared
 parameters, and the fingerprints of its upstream outputs.  Anything
-execution-related (worker counts, checkpoint directories, wall-clock)
+execution-related (worker counts, cache directories, wall-clock)
 must stay out, so that a serial run and a 8-worker run address the same
 cache entries.
 
@@ -23,7 +23,7 @@ from dataclasses import fields, is_dataclass
 from enum import Enum
 from typing import Any
 
-__all__ = ["canonical", "fingerprint", "world_fingerprint"]
+__all__ = ["canonical", "fingerprint", "fingerprint_canonical", "world_fingerprint"]
 
 # bump to invalidate every cache entry ever written (format change)
 ENGINE_SCHEMA = 1
@@ -68,10 +68,13 @@ def canonical(obj: Any) -> Any:
 
 def fingerprint(*parts: Any) -> str:
     """SHA-256 hex digest of the canonical encoding of ``parts``."""
+    return fingerprint_canonical(*(canonical(p) for p in parts))
+
+
+def fingerprint_canonical(*encoded: Any) -> str:
+    """:func:`fingerprint` of parts already reduced by :func:`canonical`."""
     payload = json.dumps(
-        [ENGINE_SCHEMA, [canonical(p) for p in parts]],
-        sort_keys=True,
-        separators=(",", ":"),
+        [ENGINE_SCHEMA, list(encoded)], sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -6,9 +6,11 @@ module-level (picklable, so independent nodes can run in
 :class:`PipelineParams` plus the named input artifacts, returning a
 dict of named output artifacts.
 
-The bodies mirror the legacy ``repro.pipeline.runner._run_stages``
-semantics exactly — same fault sessions, same contract hand-offs — but
-with two structural differences the DAG makes possible:
+These bodies are the pipeline's only definition of the stage sequence:
+:func:`~repro.pipeline.runner.run_pipeline` runs them as DAG nodes, and
+each shard node of :mod:`repro.pipeline.sharded` composes the same
+bodies in-process over its one-edition world.  Two structural choices
+shape them:
 
 - **enrichment and gender inference are independent branches**: both
   consume the linked identities, neither consumes the other, so they
@@ -17,7 +19,7 @@ with two structural differences the DAG makes possible:
   validates its own output as part of producing the artifact, so a
   cache hit serves already-validated data without re-validating, and
   the ``finalize`` node folds the per-stage contract sessions back into
-  the single run-level report the legacy path builds incrementally.
+  the single run-level report.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ from repro.faults.plan import FaultConfig
 from repro.faults.session import FaultSession
 from repro.gender.resolver import ResolverPolicy
 from repro.harvest.webindex import build_name_keyed_evidence
-from repro.obs.context import current as _obs
-from repro.pipeline.checkpoint import CheckpointStore
 from repro.pipeline.dataset import AnalysisDataset
 from repro.pipeline.enrich import enrich_researchers
 from repro.pipeline.infer import infer_genders
@@ -63,21 +63,15 @@ class PipelineParams:
     """Everything a stage body may need; small, frozen, picklable.
 
     Only the *result-affecting* members (world config, policy, faults,
-    validation) enter node fingerprints — execution policy (parallel,
-    checkpoint directory, resume) must never change a cache key.
+    validation) enter node fingerprints — execution policy (parallel)
+    must never change a cache key.
     """
 
     world_config: WorldConfig | None = None
     policy: ResolverPolicy | None = None
     faults: FaultConfig | None = None
     validation: ValidationMode | None = None
-    checkpoint_dir: str | None = None
-    resume: bool = False
     parallel: ParallelConfig | None = None
-
-    @property
-    def resilient(self) -> bool:
-        return self.faults is not None or self.checkpoint_dir is not None
 
     def contract_session(self) -> ContractSession | None:
         if self.validation is None:
@@ -99,16 +93,6 @@ class FaultPart:
         return cls(losses=tuple(session.losses), stats=session.snapshot)
 
 
-def _checkpoint_fingerprint(world, faults: FaultConfig | None) -> dict:
-    # identical to the legacy runner's fingerprint so a checkpoint
-    # directory is interchangeable between the two execution paths
-    return {
-        "seed": world.seed,
-        "scale": world.config.scale,
-        "faults": repr(faults) if faults is not None else "none",
-    }
-
-
 # --------------------------------------------------------------- stage bodies
 
 
@@ -118,32 +102,18 @@ def stage_world(params: PipelineParams, inputs: dict) -> dict:
 
 def stage_ingest(params: PipelineParams, inputs: dict) -> dict:
     world = inputs["world"]
+    # a world holds one edition year: 2017 for the paper's world, the
+    # shard's own year for a shard world
+    (year,) = {e.year for e in world.registry.editions.values()}
     session = params.contract_session()
     report: IngestReport | None = None
-    if not params.resilient:
-        harvested = ingest_world(world, parallel=params.parallel)
+    if params.faults is None:
+        harvested = ingest_world(world, year=year, parallel=params.parallel)
     else:
-        checkpoint = None
-        if params.checkpoint_dir is not None:
-            checkpoint = CheckpointStore(
-                params.checkpoint_dir, _checkpoint_fingerprint(world, params.faults)
-            )
-            checkpoint.begin(resume=params.resume)
         report = ingest_world_resilient(
-            world,
-            parallel=params.parallel,
-            faults=params.faults,
-            checkpoint=checkpoint,
-            resume=params.resume,
+            world, year=year, parallel=params.parallel, faults=params.faults
         )
         harvested = report.conferences
-        if report.resumed:
-            ctx = _obs()
-            ctx.annotate(
-                resumed_from_checkpoint=True, resumed_editions=len(report.resumed)
-            )
-            ctx.metrics.inc("checkpoint.stages_resumed")
-            ctx.event("checkpoint.resume", "ingest", editions=len(report.resumed))
     if session is not None:
         malformed = ()
         if report is not None:
@@ -174,7 +144,7 @@ def stage_link(params: PipelineParams, inputs: dict) -> dict:
 
 def stage_enrich(params: PipelineParams, inputs: dict) -> dict:
     world, linked = inputs["world"], inputs["linked"]
-    fault_session = FaultSession(params.faults) if params.resilient else None
+    fault_session = FaultSession(params.faults) if params.faults is not None else None
     enrichment = enrich_researchers(
         linked, world.gs_store, world.s2_store, session=fault_session
     )
@@ -190,7 +160,7 @@ def stage_enrich(params: PipelineParams, inputs: dict) -> dict:
 
 def stage_infer(params: PipelineParams, inputs: dict) -> dict:
     world, linked = inputs["world"], inputs["linked"]
-    fault_session = FaultSession(params.faults) if params.resilient else None
+    fault_session = FaultSession(params.faults) if params.faults is not None else None
     name_evidence, name_truth = build_name_keyed_evidence(
         world.registry, world.evidence_availability, world.true_genders
     )
@@ -228,8 +198,8 @@ def _merge_sessions(
     """Fold per-stage contract sessions into the run-level one.
 
     Stage order is fixed (ingest, link, enrich, infer), so the merged
-    quarantine store lists entries in exactly the order the legacy
-    shared-session path would have appended them.
+    quarantine store lists entries in exactly the order one shared
+    session would have appended them.
     """
     merged = ContractSession(mode=mode)
     for part in parts:
@@ -244,24 +214,33 @@ def _merge_sessions(
     return merged
 
 
+def fault_totals(
+    report: IngestReport, enrich: FaultPart | None, infer: FaultPart | None
+) -> tuple[list[LossRecord], FaultStats]:
+    """A faulted run's losses and counters: ingest's, enrich's, then infer's."""
+    stats = FaultStats()
+    stats.merge(report.stats)
+    losses = list(report.losses)
+    for part in (enrich, infer):
+        if part is not None:
+            stats.merge(part.stats)
+            losses.extend(part.losses)
+    return losses, stats
+
+
 def stage_finalize(params: PipelineParams, inputs: dict) -> dict:
     """Degraded-coverage assembly + the end-of-run integrity audit."""
     report: IngestReport | None = inputs["ingest_report"]
     degraded = None
-    if params.resilient and report is not None:
-        stats = FaultStats()
-        stats.merge(report.stats)
-        losses = list(report.losses)
-        for part in (inputs["enrich_faults"], inputs["infer_faults"]):
-            if part is not None:
-                stats.merge(part.stats)
-                losses.extend(part.losses)
+    if report is not None:
+        losses, stats = fault_totals(
+            report, inputs["enrich_faults"], inputs["infer_faults"]
+        )
         degraded = DegradedCoverage.from_parts(
             total_editions=report.total_editions,
             harvested_editions=len(report.conferences),
             losses=losses,
             stats=stats,
-            resumed_editions=report.resumed,
         )
 
     contracts = None

@@ -83,10 +83,8 @@ class DegradedCoverage:
     exhausted: int = 0
     breaker_opens: int = 0
     virtual_time: float = 0.0
-    resumed_editions: tuple[str, ...] = ()
-    # engine-level accounting (supervised DAG execution; PR 6) — empty
-    # on the legacy path and on clean engine runs, so reports from the
-    # two paths stay equal when nothing went wrong
+    # engine-level accounting (supervised DAG execution) — empty on
+    # clean runs
     failed_nodes: tuple[str, ...] = ()
     skipped_nodes: tuple[str, ...] = ()
     node_retries: int = 0
@@ -98,7 +96,6 @@ class DegradedCoverage:
         harvested_editions: int,
         losses: list[LossRecord],
         stats: FaultStats,
-        resumed_editions: tuple[str, ...] = (),
     ) -> "DegradedCoverage":
         return cls(
             total_editions=total_editions,
@@ -110,7 +107,6 @@ class DegradedCoverage:
             exhausted=stats.exhausted,
             breaker_opens=stats.breaker_opens,
             virtual_time=stats.virtual_time,
-            resumed_editions=resumed_editions,
         )
 
     # ------------------------------------------------------------ views
@@ -154,11 +150,7 @@ class DegradedCoverage:
 
     def summary(self) -> str:
         """One-paragraph human summary for CLI / report output."""
-        if (
-            not self.is_degraded
-            and not self.resumed_editions
-            and not self.node_retries
-        ):
+        if not self.is_degraded and not self.node_retries:
             return "no degradation: every service call eventually succeeded"
         parts = [
             f"editions: {self.harvested_editions}/{self.total_editions} harvested",
@@ -181,8 +173,6 @@ class DegradedCoverage:
         persons = self.dropped_persons
         if persons:
             parts.append(f"{len(persons)} person lookups lost")
-        if self.resumed_editions:
-            parts.append(f"{len(self.resumed_editions)} resumed from checkpoint")
         parts.append(
             f"faults={sum(self.fault_counts.values())} retries={self.retries} "
             f"virtual_time={self.virtual_time:.2f}s"

@@ -5,7 +5,7 @@ key, attempt)`` fail, and how?" — from nothing but the fault seed, via
 :func:`repro.util.rng.derive_seed`.  Because the decision is a pure
 function of the call's *identity* rather than of execution order, the
 same plan yields the same faults whether the pipeline runs serially, on
-four workers, or resumes from a checkpoint: the property every
+four workers, or resumes from a warm artifact cache: the property every
 determinism test in this repo leans on.
 
 The plan models the four failure modes the original study's data

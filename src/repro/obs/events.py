@@ -2,8 +2,8 @@
 
 Before this module, each layer kept its own ad-hoc trail of "what
 happened": the faults layer counted retries in a ``FaultStats``, the
-contracts layer counted dispositions in the metrics registry, the
-checkpoint layer annotated spans, and the engine incremented
+contracts layer counted dispositions in the metrics registry, and the
+engine incremented
 ``engine.cache.*`` counters.  Counters aggregate — they cannot answer
 "in what order did the run degrade?".  The event log can: it is one
 append-only, in-memory stream of **typed** events that every
@@ -63,9 +63,6 @@ EVENT_TYPES: frozenset[str] = frozenset(
         "node.timeout",
         "node.failed",
         "node.skipped",
-        # checkpoint/resume
-        "checkpoint.resume",
-        "checkpoint.save",
         # fault injection and resilience
         "fault.injected",
         "fault.retry",

@@ -11,7 +11,7 @@ The ledger fixes that.  It is an **append-only JSONL file**
 :class:`RunRecord` with a strict determinism split:
 
 - ``body`` — everything reproducible: the run-config fingerprint,
-  per-stage execution facts (counts, cached/resumed flags), engine
+  per-stage execution facts (counts, cached flags), engine
   cache hit/miss counters, the metrics-registry snapshot digest,
   fault/contract/quarantine counters, the unified event-log type
   counts, and — the scientific payload — a flat map of **headline
@@ -283,7 +283,9 @@ def build_run_record(
         name: {
             "count": timer.counts.get(name, 0),
             "cached": name in timer.cached,
-            "resumed": name in timer.resumed,
+            # no stage resumes from a checkpoint any more; the key stays
+            # so ledger bodies keep their shape and digests
+            "resumed": False,
         }
         for name in sorted(timer.durations)
     }

@@ -4,9 +4,8 @@ Profiling is strictly opt-in (cProfile costs far more than the <5%
 budget the rest of the observability layer lives under) and per-stage:
 each pipeline stage runs under its own profiler so the top-N output
 answers "where does *this* stage spend its time", not "where does the
-whole process".  Stages that repeat (``contracts`` runs at every
-hand-off, resumed stages re-enter) accumulate into one profile per
-stage name.
+whole process".  Stages that repeat (a supervised node's retries)
+accumulate into one profile per stage name.
 
 cProfile cannot nest, so :meth:`StageProfiler.stage` is a no-op when a
 profile is already being collected (the outermost stage wins) and

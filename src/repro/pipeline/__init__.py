@@ -11,7 +11,8 @@ Stages (each a module, composable separately):
 4. :mod:`repro.pipeline.infer`   — the gender-assignment cascade.
 5. :mod:`repro.pipeline.dataset` — the tabular
    :class:`~repro.pipeline.dataset.AnalysisDataset` the analyses read.
-6. :mod:`repro.pipeline.runner`  — :func:`run_pipeline` glue.
+6. :mod:`repro.pipeline.runner`  — :func:`run_pipeline`: the stage
+   sequence of :mod:`repro.engine.stages` run on the stage-DAG engine.
 7. :mod:`repro.pipeline.sharded` — :func:`run_sharded`: the
    conference×edition-sharded streaming pipeline for scaled universes.
 
@@ -30,11 +31,6 @@ from repro.pipeline.link import link_identities, LinkedData, ResearcherRecord
 from repro.pipeline.enrich import enrich_researchers, Enrichment
 from repro.pipeline.infer import infer_genders, InferenceOutcome
 from repro.pipeline.dataset import AnalysisDataset
-from repro.pipeline.checkpoint import (
-    CheckpointMismatch,
-    CheckpointStore,
-    CheckpointWriteError,
-)
 from repro.pipeline.config import EngineConfig, RunConfig
 from repro.pipeline.runner import run_pipeline, PipelineResult
 from repro.pipeline.sharded import run_sharded, ShardedRunResult, ShardResult
@@ -54,9 +50,6 @@ __all__ = [
     "infer_genders",
     "InferenceOutcome",
     "AnalysisDataset",
-    "CheckpointStore",
-    "CheckpointMismatch",
-    "CheckpointWriteError",
     "run_pipeline",
     "PipelineResult",
     "run_sharded",

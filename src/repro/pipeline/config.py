@@ -1,10 +1,10 @@
 """The consolidated run configuration.
 
-:func:`~repro.pipeline.runner.run_pipeline` grew nine keyword arguments
-over three PRs; :class:`RunConfig` consolidates them (plus the engine's
-cache options) into one frozen, picklable object with a single CLI
-constructor.  The legacy kwargs still work through a deprecation shim
-on ``run_pipeline`` itself.
+:class:`RunConfig` is everything
+:func:`~repro.pipeline.runner.run_pipeline` and
+:func:`~repro.pipeline.sharded.run_sharded` accept (plus the engine's
+cache options), as one frozen, picklable object with a single CLI
+constructor.
 
 ::
 
@@ -21,7 +21,7 @@ on ``run_pipeline`` itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.contracts.schema import ValidationMode
@@ -94,19 +94,17 @@ class RunConfig:
         Gender-resolver policy (paper defaults when ``None``).
     faults:
         Deterministic fault-injection configuration.
-    checkpoint_dir / resume:
-        Legacy per-stage checkpointing; subsumed by ``engine.cache_dir``
-        but still honored (per-edition harvest checkpoints compose with
-        the engine's per-node cache).
     validation:
         Data-contract mode (``"strict"``/``"repair"``/``"audit"`` or a
         :class:`~repro.contracts.schema.ValidationMode`; ``None`` off).
     obs:
         Observability context; ``None`` disables instrumentation.
     engine:
-        Stage-DAG execution options.  ``None`` selects the legacy
-        linear runner; any :class:`EngineConfig` (even an empty one)
-        selects the DAG engine.
+        Stage-DAG execution options.  Every run executes on the engine;
+        ``None`` means ``EngineConfig()``: in memory, uncached, serial.
+        Resuming an interrupted run means rerunning with the same
+        ``cache_dir``: every node (and shard) that finished is served
+        from the cache.
     shards:
         Venue count of a sharded synthetic universe.  Setting it routes
         the run through :func:`~repro.pipeline.sharded.run_sharded`:
@@ -125,8 +123,6 @@ class RunConfig:
     parallel: ParallelConfig | None = None
     policy: ResolverPolicy | None = None
     faults: FaultConfig | None = None
-    checkpoint_dir: str | None = None
-    resume: bool = False
     validation: ValidationMode | str | None = None
     obs: ObsContext | None = None
     engine: EngineConfig | None = None
@@ -134,8 +130,6 @@ class RunConfig:
     shard_workers: int | None = None
 
     def __post_init__(self) -> None:
-        if self.resume and not self.checkpoint_dir:
-            raise ValueError("resume=True requires checkpoint_dir")
         if self.shards is not None and self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.shard_workers is not None and self.shard_workers < 1:
@@ -162,29 +156,31 @@ class RunConfig:
         The run ledger keys like-for-like comparisons on it.  The
         observability context is excluded (it is instrumentation, not
         configuration, and its repr is identity-based), and so is the
-        engine's *execution policy* — worker counts, cache/checkpoint
-        directories, refresh — which must never make two runs read as
+        engine's *execution policy* — worker counts, the cache
+        directory, refresh — which must never make two runs read as
         scientifically different (the same rule the engine's cache keys
         follow).
         """
         # lazy import: repro.engine imports this module at load time
-        from repro.engine.fingerprint import fingerprint as _fp
+        from repro.engine.fingerprint import canonical, fingerprint_canonical
 
         mode = self.validation_mode()
-        return _fp(
-            "run-config",
+        encoded = canonical(
             replace(
                 self,
                 obs=None,
                 engine=None,
-                checkpoint_dir=None,
-                resume=False,
                 parallel=None,
                 shard_workers=None,
                 # normalize the str/enum spellings to one fingerprint
                 validation=mode.value if mode is not None else None,
-            ),
+            )
         )
+        # the since-deleted checkpoint_dir/resume fields, at the neutral
+        # values every digest was taken with: ledger history, serve ETags
+        # and serve chaos draws are keyed on this fingerprint
+        encoded["fields"].update(checkpoint_dir=None, resume=False)
+        return fingerprint_canonical("run-config", encoded)
 
     # --------------------------------------------------------- constructors
 
@@ -193,8 +189,7 @@ class RunConfig:
         """Build a run configuration from a parsed CLI namespace.
 
         Understands the option set declared in :mod:`repro.cli` (seed,
-        scale, workers, fault-rate/seed, checkpoint-dir/resume,
-        validate, cache-dir/engine-workers/refresh-cache, and the
+        scale, workers, fault-rate/seed, validate, cache-dir/engine-workers/refresh-cache, and the
         observability context the CLI stashes on ``args._obs``).
         Missing attributes fall back to their defaults, so any
         namespace with a ``seed`` is accepted.
@@ -219,11 +214,7 @@ class RunConfig:
         validate = get("validate", "repair")
         validation = None if validate in (None, "off") else validate
         engine = None
-        if (
-            get("cache_dir") is not None
-            or get("engine", False)
-            or get("engine_workers") is not None
-        ):
+        if get("cache_dir") is not None or get("engine_workers") is not None:
             engine = EngineConfig(
                 cache_dir=get("cache_dir"),
                 workers=get("engine_workers"),
@@ -239,8 +230,6 @@ class RunConfig:
             parallel=parallel,
             policy=None,
             faults=faults,
-            checkpoint_dir=get("checkpoint_dir"),
-            resume=get("resume", False),
             validation=validation,
             obs=get("_obs"),
             engine=engine,
@@ -272,10 +261,3 @@ class RunConfig:
             shard_workers=shard_workers,
         )
 
-
-# the legacy run_pipeline kwargs RunConfig consolidates, in signature order
-LEGACY_KWARGS: tuple[str, ...] = tuple(
-    f.name
-    for f in fields(RunConfig)
-    if f.name not in ("engine", "shards", "shard_workers")
-)

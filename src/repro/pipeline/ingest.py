@@ -12,8 +12,7 @@ Two entry points:
   :class:`~repro.faults.plan.FaultConfig`: injected fetch failures are
   retried (virtual-clock backoff), malformed pages are scraped as-is,
   an edition that exhausts its retries is *dropped and recorded* in the
-  returned :class:`IngestReport` instead of aborting the run, and each
-  completed edition can be checkpointed for ``--resume``.
+  returned :class:`IngestReport` instead of aborting the run.
 
 Every harvest task owns its own :class:`~repro.faults.session.FaultSession`,
 so breaker state and virtual time are per-item and the report is
@@ -35,7 +34,6 @@ from repro.harvest.proceedings import build_proceedings
 from repro.harvest.scrape import HarvestedConference, scrape_site
 from repro.harvest.sitegen import generate_site
 from repro.obs.context import current as _obs
-from repro.pipeline.checkpoint import CheckpointStore, save_item_file
 from repro.synth.world import SyntheticWorld
 from repro.util.parallel import ParallelConfig, TaskError, parallel_map
 
@@ -46,9 +44,6 @@ __all__ = [
     "HarvestOutcome",
     "IngestReport",
 ]
-
-_STAGE = "ingest"
-
 
 def harvest_one(args: tuple[SyntheticWorld, str, int]) -> HarvestedConference:
     """Generate + scrape one conference edition (module-level: picklable)."""
@@ -103,17 +98,16 @@ class IngestReport:
     losses: list[LossRecord] = field(default_factory=list)
     stats: FaultStats = field(default_factory=FaultStats)
     total_editions: int = 0
-    resumed: tuple[str, ...] = ()
     # per-edition proceedings record counts — the harvest-side paper
     # denominator the integrity audit cross-checks the tables against
     proceedings_counts: dict[str, int] = field(default_factory=dict)
 
 
 def _harvest_resilient(
-    args: tuple[SyntheticWorld, str, int, FaultConfig | None, str | None],
+    args: tuple[SyntheticWorld, str, int, FaultConfig | None],
 ) -> HarvestOutcome:
     """Harvest one edition under the fault plan (module-level: picklable)."""
-    world, conference, year, faults, stage_dir = args
+    world, conference, year, faults = args
     key = f"{conference}-{year}"
     session = FaultSession(faults)
     ctx = _obs()
@@ -146,18 +140,13 @@ def _harvest_resilient(
         conf = scrape_site(site, proceedings)
     ctx.metrics.inc("harvest.editions")
     ctx.metrics.observe("harvest.papers_per_edition", len(conf.papers))
-    outcome = HarvestOutcome(
+    return HarvestOutcome(
         key,
         conf,
         tuple(session.losses),
         session.snapshot,
         proceedings_count=len(proceedings),
     )
-    if stage_dir is not None:
-        # checkpoint from the worker: a kill after this point never
-        # re-harvests this edition (losses ride along; stats stay per-run)
-        save_item_file(stage_dir, key, (conf, outcome.losses, outcome.proceedings_count))
-    return outcome
 
 
 def ingest_world_resilient(
@@ -165,53 +154,14 @@ def ingest_world_resilient(
     year: int = 2017,
     parallel: ParallelConfig | None = None,
     faults: FaultConfig | None = None,
-    checkpoint: CheckpointStore | None = None,
-    resume: bool = False,
 ) -> IngestReport:
     """Scrape every edition of ``year`` under faults, never raising."""
     editions = _editions_of(world, year)
-    keys = [f"{e.name}-{e.year}" for e in editions]
     report = IngestReport(total_editions=len(editions))
-
-    if checkpoint is not None and resume and checkpoint.has_stage(_STAGE):
-        done: IngestReport = checkpoint.load_stage(_STAGE)
-        _obs().metrics.inc("harvest.editions_resumed", len(keys))
-        _obs().event("checkpoint.resume", _STAGE, editions=len(keys))
-        # data-coverage facts carry over; effort counters are per-run
-        return IngestReport(
-            conferences=done.conferences,
-            losses=done.losses,
-            stats=FaultStats(),
-            total_editions=done.total_editions,
-            resumed=tuple(keys),
-            proceedings_counts=dict(getattr(done, "proceedings_counts", {})),
-        )
-
-    loaded: dict[str, tuple] = {}
-    if checkpoint is not None and resume:
-        loaded = checkpoint.load_items(_STAGE)
-
-    stage_dir = str(checkpoint.item_dir(_STAGE)) if checkpoint is not None else None
-    pending = [e for e in editions if f"{e.name}-{e.year}" not in loaded]
-    tasks = [(world, e.name, e.year, faults, stage_dir) for e in pending]
+    tasks = [(world, e.name, e.year, faults) for e in editions]
     results = parallel_map(_harvest_resilient, tasks, parallel, capture_errors=True)
-    by_key = {
-        f"{e.name}-{e.year}": r for e, r in zip(pending, results)
-    }
-
-    resumed: list[str] = []
-    for key in keys:
-        if key in loaded:
-            conf, losses, *rest = loaded[key]
-            report.conferences.append(conf)
-            report.losses.extend(losses)
-            if rest:
-                report.proceedings_counts[key] = rest[0]
-            resumed.append(key)
-            _obs().metrics.inc("harvest.editions_resumed")
-            _obs().event("checkpoint.resume", key)
-            continue
-        result = by_key[key]
+    for e, result in zip(editions, results):
+        key = f"{e.name}-{e.year}"
         if isinstance(result, TaskError):
             # a genuine defect in this edition's harvest, not an
             # injected fault: degrade it like any other loss
@@ -224,8 +174,4 @@ def ingest_world_resilient(
         if result.conference is not None:
             report.conferences.append(result.conference)
             report.proceedings_counts[key] = result.proceedings_count
-    report.resumed = tuple(resumed)
-
-    if checkpoint is not None:
-        checkpoint.save_stage(_STAGE, report)
     return report

@@ -1,6 +1,9 @@
 """End-to-end pipeline driver.
 
-Beyond the happy path, the runner owns the pipeline's resilience
+:func:`run_pipeline` runs the stage sequence of
+:mod:`repro.engine.stages` on the stage-DAG engine — always: with
+``RunConfig.engine=None`` the engine runs in memory, uncached and
+serially.  Beyond the happy path, a run owns the pipeline's resilience
 contract:
 
 - pass a :class:`~repro.faults.plan.FaultConfig` and every simulated
@@ -8,9 +11,10 @@ contract:
   Scholar) runs under the deterministic fault plan — retried with
   virtual-clock backoff, circuit-broken, and, when lost for good,
   recorded in :attr:`PipelineResult.degraded` rather than raised;
-- pass ``checkpoint_dir`` and the expensive stages checkpoint as they
-  complete (harvest per *edition*, from the workers), so a killed run
-  resumes with ``resume=True`` without re-doing finished work;
+- pass ``engine=EngineConfig(cache_dir=...)`` and every node's outputs
+  land in the artifact cache as that node finishes, so rerunning a
+  killed run against the same directory re-executes only the nodes
+  that had not finished;
 - pass ``validation`` and every stage hand-off runs under the data
   contracts of :mod:`repro.contracts`: violating records are repaired
   or quarantined (``"repair"``), merely recorded (``"audit"``), or
@@ -18,48 +22,24 @@ contract:
   checks that counts are conserved — the result lands in
   :attr:`PipelineResult.contracts`.
 
-With ``faults=None``, no checkpointing, and ``validation=None`` the
-runner executes exactly the fault-free code path; with
-``FaultConfig(rate=0.0)`` the resilience plumbing is live but injects
-nothing, and the output is bit-identical to the fault-free run.
+With ``FaultConfig(rate=0.0)`` the resilience plumbing is live but
+injects nothing, and the output is bit-identical to the fault-free run.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
-from repro.contracts.audit import ContractReport, run_integrity_audit
-from repro.contracts.schema import (
-    ContractViolationError,
-    ValidationMode,
-    Violation,
-)
-from repro.contracts.validators import (
-    ContractSession,
-    validate_assignments,
-    validate_enrichment,
-    validate_harvest,
-    validate_linked,
-)
-from repro.faults.degradation import DegradedCoverage, FaultStats
-from repro.faults.plan import FaultConfig
-from repro.faults.session import FaultSession
-from repro.gender.resolver import ResolverPolicy
-from repro.harvest.webindex import build_name_keyed_evidence
+from repro.contracts.audit import ContractReport
+from repro.faults.degradation import DegradedCoverage
 from repro.obs.context import NULL as _NULL_OBS
 from repro.obs.context import ObsContext
 from repro.obs.context import use as _obs_use
-from repro.pipeline.checkpoint import CheckpointStore
 from repro.pipeline.config import RunConfig
 from repro.pipeline.dataset import AnalysisDataset
-from repro.pipeline.enrich import enrich_researchers
-from repro.pipeline.infer import InferenceOutcome, infer_genders
-from repro.pipeline.ingest import IngestReport, ingest_world, ingest_world_resilient
-from repro.pipeline.link import LinkedData, link_identities
-from repro.synth.config import WorldConfig
-from repro.synth.world import SyntheticWorld, build_world
-from repro.util.parallel import ParallelConfig
+from repro.pipeline.infer import InferenceOutcome
+from repro.pipeline.link import LinkedData
+from repro.synth.world import SyntheticWorld
 from repro.util.timing import StageTimer
 
 __all__ = ["PipelineResult", "run_pipeline", "RunConfig"]
@@ -83,104 +63,35 @@ class PipelineResult:
         return self.inference.coverage
 
 
-def _fingerprint(world: SyntheticWorld, faults: FaultConfig | None) -> dict:
-    return {
-        "seed": world.seed,
-        "scale": world.config.scale,
-        "faults": repr(faults) if faults is not None else "none",
-    }
-
-
-def _validation_mode(
-    validation: ValidationMode | str | None,
-) -> ValidationMode | None:
-    if validation is None:
-        return None
-    if isinstance(validation, ValidationMode):
-        return validation
-    return ValidationMode(str(validation))
-
-
 def run_pipeline(
-    config: RunConfig | WorldConfig | None = None,
+    config: RunConfig | None = None,
     world: SyntheticWorld | None = None,
-    parallel: ParallelConfig | None = None,
-    policy: ResolverPolicy | None = None,
-    faults: FaultConfig | None = None,
-    checkpoint_dir: str | None = None,
-    resume: bool = False,
-    validation: ValidationMode | str | None = None,
-    obs: ObsContext | None = None,
 ) -> PipelineResult:
     """Build (or reuse) a world and run every pipeline stage.
 
-    The supported calling convention is a single
-    :class:`~repro.pipeline.config.RunConfig`::
+    ::
 
         run_pipeline(RunConfig(world=WorldConfig(seed=7), validation="repair"))
 
     optionally with a prebuilt ``world`` (a world is data, not
-    configuration, so it stays a separate argument).  When
-    ``RunConfig.engine`` is set, the run executes on the stage-DAG
-    engine (:mod:`repro.engine`): independent stages run concurrently
-    and, with ``engine.cache_dir``, every stage whose content-addressed
-    fingerprint hits the artifact cache is served without re-executing
-    its body.
+    configuration, so it stays a separate argument; ``config.world`` is
+    then ignored).  The run executes on the stage-DAG engine
+    (:mod:`repro.engine`): with ``config.engine.workers`` independent
+    stages run concurrently and, with ``config.engine.cache_dir``, every
+    stage whose content-addressed fingerprint hits the artifact cache is
+    served without re-executing its body.
 
-    Passing a :class:`~repro.synth.config.WorldConfig` as ``config``,
-    or any of the legacy keyword arguments below, still works but emits
-    a :class:`DeprecationWarning`; both spellings produce equal
-    :class:`PipelineResult`\\ s for the same seed.
-
-    Parameters
-    ----------
-    config:
-        A :class:`RunConfig` (supported), or a world configuration
-        (deprecated legacy spelling); ignored when ``world`` is given.
-    world:
-        A pre-built world (e.g. a shared test fixture).
-    parallel:
-        Parallel policy for the ingest stage (serial by default).
-    policy:
-        Gender-resolver policy (paper defaults: manual + genderize@0.70).
-    faults:
-        Fault-injection configuration.  When given, the run cannot be
-        aborted by injected faults: exhausted work items are dropped and
-        accounted in :attr:`PipelineResult.degraded`.
-    checkpoint_dir:
-        Directory for per-stage checkpoints; implies the resilient path.
-    resume:
-        Reuse matching checkpoints in ``checkpoint_dir`` instead of
-        recomputing (raises
-        :class:`~repro.pipeline.checkpoint.CheckpointMismatch` if the
-        directory belongs to a different run).
-    validation:
-        Data-contract mode (``"strict"``/``"repair"``/``"audit"`` or a
-        :class:`~repro.contracts.schema.ValidationMode`).  ``None``
-        disables contracts entirely.  Strict mode raises
-        :class:`~repro.contracts.schema.ContractViolationError` at the
-        first violating record (or failing audit check); the other modes
-        attach a :class:`~repro.contracts.audit.ContractReport` to the
-        result.
-    obs:
-        Observability context (:class:`~repro.obs.context.ObsContext`).
-        When given, every stage runs under a trace span, the faults /
-        contracts / tabular layers feed its metrics registry, resumed
-        stages carry a ``resumed_from_checkpoint`` marker, and (if the
-        context was built with ``profile=True``) each stage is profiled
-        under cProfile.  ``None`` disables all instrumentation beyond
-        the stage timer.
+    Strict validation raises
+    :class:`~repro.contracts.schema.ContractViolationError` at the first
+    violating record (or failing audit check).  With an observability
+    context on ``config.obs`` every stage runs under a trace span, the
+    faults / contracts / tabular layers feed its metrics registry, and
+    (if the context was built with ``profile=True``) each stage is
+    profiled under cProfile.
     """
-    rc = _coerce_config(
-        config,
-        parallel=parallel,
-        policy=policy,
-        faults=faults,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        validation=validation,
-        obs=obs,
-    )
+    rc = RunConfig() if config is None else config
+    if not isinstance(rc, RunConfig):
+        raise TypeError(f"config must be a RunConfig, not {type(rc).__name__}")
     if rc.shards is not None:
         raise ValueError(
             "RunConfig.shards selects the sharded pipeline; "
@@ -194,50 +105,9 @@ def run_pipeline(
             engine=rc.engine is not None,
             prebuilt_world=world is not None,
         )
-        if rc.engine is not None:
-            result = _run_engine(octx, rc, world)
-            octx.event("run.end", "pipeline", engine=True)
-            return result
-        result = _run_stages(
-            octx,
-            config=rc.world,
-            world=world,
-            parallel=rc.parallel,
-            policy=rc.policy,
-            faults=rc.faults,
-            checkpoint_dir=rc.checkpoint_dir,
-            resume=rc.resume,
-            validation=rc.validation,
-        )
-        octx.event("run.end", "pipeline", engine=False)
+        result = _run_engine(octx, rc, world)
+        octx.event("run.end", "pipeline", engine=rc.engine is not None)
         return result
-
-
-def _coerce_config(config, **legacy) -> RunConfig:
-    """Fold the deprecated kwargs into a :class:`RunConfig`."""
-    passed = {k: v for k, v in legacy.items() if v is not None and v is not False}
-    if isinstance(config, RunConfig):
-        if passed:
-            warnings.warn(
-                "passing run_pipeline keyword arguments alongside a RunConfig "
-                "is deprecated; set them on the RunConfig instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            config = config.with_overrides(**passed)
-        return config
-    if config is not None and not isinstance(config, WorldConfig):
-        raise TypeError(
-            f"config must be a RunConfig or WorldConfig, not {type(config).__name__}"
-        )
-    if config is not None or passed:
-        warnings.warn(
-            "run_pipeline(WorldConfig, parallel=..., faults=..., ...) is "
-            "deprecated; pass run_pipeline(RunConfig(...)) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return RunConfig(world=config, **legacy)
 
 
 def _run_engine(octx, rc: RunConfig, world: SyntheticWorld | None) -> PipelineResult:
@@ -258,8 +128,6 @@ def _run_engine(octx, rc: RunConfig, world: SyntheticWorld | None) -> PipelineRe
         policy=rc.policy,
         faults=rc.faults,
         validation=rc.validation_mode(),
-        checkpoint_dir=rc.checkpoint_dir,
-        resume=rc.resume,
         parallel=rc.parallel,
     )
     graph = build_graph(params, prebuilt_world=world is not None)
@@ -309,8 +177,7 @@ def _merge_engine_accounting(degraded, run) -> DegradedCoverage | None:
     """Fold ``EngineRun.failed/skipped/retries`` into the coverage report.
 
     A clean supervised (or unsupervised) run returns ``degraded``
-    untouched, so engine-path reports stay equal to legacy-path ones —
-    the parity the feature-parity tests assert.
+    untouched.
     """
     if run.completed and run.retries == 0:
         return degraded
@@ -321,217 +188,4 @@ def _merge_engine_accounting(degraded, run) -> DegradedCoverage | None:
         skipped_nodes=tuple(sorted(run.skipped)),
         node_retries=run.retries,
         virtual_time=base.virtual_time + run.virtual_time,
-    )
-
-
-def _run_stages(
-    octx,
-    config: WorldConfig | None,
-    world: SyntheticWorld | None,
-    parallel: ParallelConfig | None,
-    policy: ResolverPolicy | None,
-    faults: FaultConfig | None,
-    checkpoint_dir: str | None,
-    resume: bool,
-    validation: ValidationMode | str | None,
-) -> PipelineResult:
-    timer = StageTimer(tracer=octx.tracer if octx.enabled else None)
-    if world is None:
-        with timer.stage("build_world"), octx.profiled("build_world"):
-            world = build_world(config)
-
-    mode = _validation_mode(validation)
-    contracts_session = ContractSession(mode=mode) if mode is not None else None
-
-    resilient = faults is not None or checkpoint_dir is not None
-    ingest_report: IngestReport | None = None
-    if not resilient:
-        with timer.stage("ingest"), octx.profiled("ingest"):
-            harvested = ingest_world(world, parallel=parallel)
-        enrich_session = infer_session = None
-    else:
-        checkpoint = None
-        if checkpoint_dir is not None:
-            checkpoint = CheckpointStore(checkpoint_dir, _fingerprint(world, faults))
-            checkpoint.begin(resume=resume)
-        with timer.stage("ingest"), octx.profiled("ingest"):
-            ingest_report = ingest_world_resilient(
-                world,
-                parallel=parallel,
-                faults=faults,
-                checkpoint=checkpoint,
-                resume=resume,
-            )
-            harvested = ingest_report.conferences
-            if ingest_report.resumed:
-                # the near-zero duration is checkpoint-load time, not a
-                # fresh harvest — mark it so reports can say so
-                timer.mark_resumed("ingest")
-                octx.annotate(
-                    resumed_from_checkpoint=True,
-                    resumed_editions=len(ingest_report.resumed),
-                )
-                octx.metrics.inc("checkpoint.stages_resumed")
-                octx.event(
-                    "checkpoint.resume",
-                    "ingest",
-                    editions=len(ingest_report.resumed),
-                )
-
-    if contracts_session is not None:
-        with timer.stage("contracts"), octx.profiled("contracts"):
-            malformed = ()
-            if ingest_report is not None:
-                malformed = tuple(
-                    sorted(
-                        {
-                            r.key
-                            for r in ingest_report.losses
-                            if r.stage == "harvest"
-                            and r.reason.startswith("malformed:")
-                        }
-                    )
-                )
-            harvested = validate_harvest(harvested, contracts_session, malformed)
-
-    with timer.stage("link"), octx.profiled("link"):
-        linked = link_identities(harvested)
-    if contracts_session is not None:
-        with timer.stage("contracts"), octx.profiled("contracts"):
-            linked = validate_linked(linked, contracts_session)
-
-    if not resilient:
-        with timer.stage("enrich"), octx.profiled("enrich"):
-            enrichment = enrich_researchers(linked, world.gs_store, world.s2_store)
-    else:
-        enrich_session = FaultSession(faults)
-        with timer.stage("enrich"), octx.profiled("enrich"):
-            if checkpoint is not None and resume and checkpoint.has_stage("enrich"):
-                enrichment, enrich_losses = checkpoint.load_stage("enrich")
-                enrich_session.losses.extend(enrich_losses)
-                timer.mark_resumed("enrich")
-                octx.annotate(resumed_from_checkpoint=True)
-                octx.metrics.inc("checkpoint.stages_resumed")
-                octx.event("checkpoint.resume", "enrich")
-            else:
-                enrichment = enrich_researchers(
-                    linked, world.gs_store, world.s2_store, session=enrich_session
-                )
-                if checkpoint is not None:
-                    checkpoint.save_stage(
-                        "enrich", (enrichment, list(enrich_session.losses))
-                    )
-                    octx.event("checkpoint.save", "enrich")
-        infer_session = FaultSession(faults)
-    if contracts_session is not None:
-        with timer.stage("contracts"), octx.profiled("contracts"):
-            enrichment = validate_enrichment(enrichment, contracts_session)
-
-    with timer.stage("infer"), octx.profiled("infer"):
-        name_evidence, name_truth = build_name_keyed_evidence(
-            world.registry, world.evidence_availability, world.true_genders
-        )
-        inference = infer_genders(
-            linked,
-            name_evidence,
-            name_truth,
-            seed=world.seed,
-            policy=policy,
-            photo_error_rate=world.config.photo_error_rate,
-            session=infer_session,
-        )
-    if contracts_session is not None:
-        with timer.stage("contracts"), octx.profiled("contracts"):
-            assignments = validate_assignments(
-                inference.assignments, contracts_session
-            )
-            if assignments != inference.assignments:
-                inference = inference.with_assignments(assignments)
-
-    with timer.stage("dataset"), octx.profiled("dataset"):
-        dataset = AnalysisDataset.build(linked, enrichment, inference.assignments)
-
-    degraded = None
-    if resilient:
-        degraded = _assemble_degraded(ingest_report, enrich_session, infer_session)
-
-    contracts = None
-    if contracts_session is not None:
-        with timer.stage("audit"), octx.profiled("audit"):
-            audit = run_integrity_audit(
-                dataset,
-                inference,
-                contracts_session,
-                degraded=degraded,
-                proceedings_counts=(
-                    ingest_report.proceedings_counts
-                    if ingest_report is not None
-                    else None
-                ),
-                enrichment_rows=len(enrichment),
-            )
-        contracts = ContractReport(
-            mode=mode.value,
-            quarantine=contracts_session.store,
-            audit=audit,
-        )
-        if mode is ValidationMode.STRICT and not audit.ok:
-            raise ContractViolationError(
-                "audit",
-                "run",
-                "integrity",
-                [
-                    Violation(
-                        contract="audit",
-                        code=f"audit.{c.name}",
-                        field=None,
-                        message=f"expected {c.expected}, got {c.actual}",
-                    )
-                    for c in audit.failures
-                ],
-            )
-
-    if octx.enabled:
-        m = octx.metrics
-        m.set_gauge("pipeline.researchers", dataset.researchers.num_rows)
-        m.set_gauge("pipeline.papers", dataset.papers.num_rows)
-        m.set_gauge("pipeline.editions", len(harvested))
-        # stage wall-times live under the reserved time.* prefix so the
-        # determinism comparison can exclude them wholesale
-        for name, secs in timer.durations.items():
-            m.set_gauge(f"time.stage.{name}", secs)
-
-    return PipelineResult(
-        world=world,
-        linked=linked,
-        dataset=dataset,
-        inference=inference,
-        timer=timer,
-        degraded=degraded,
-        contracts=contracts,
-        obs=octx if octx.enabled else None,
-    )
-
-
-def _assemble_degraded(
-    ingest_report: IngestReport,
-    enrich_session: FaultSession,
-    infer_session: FaultSession,
-) -> DegradedCoverage:
-    """Fold the per-stage sessions into one comparable report."""
-    stats = FaultStats()
-    stats.merge(ingest_report.stats)
-    stats.merge(enrich_session.snapshot)
-    stats.merge(infer_session.snapshot)
-    losses = (
-        list(ingest_report.losses)
-        + list(enrich_session.losses)
-        + list(infer_session.losses)
-    )
-    return DegradedCoverage.from_parts(
-        total_editions=ingest_report.total_editions,
-        harvested_editions=len(ingest_report.conferences),
-        losses=losses,
-        stats=stats,
-        resumed_editions=ingest_report.resumed,
     )

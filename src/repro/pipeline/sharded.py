@@ -8,9 +8,11 @@ splits the universe into conference×edition *shards*
 
 - each shard is generated, harvested, linked, enriched, and
   gender-inferred by an independent :class:`~repro.engine.node.StageNode`
-  whose body is a pure function of ``(seed, shard)`` — shards execute in
-  parallel and land in the content-addressed artifact cache, so editing
-  one edition's targets re-executes exactly that shard;
+  whose body is a pure function of ``(seed, shard)`` and composes the
+  monolithic pipeline's stage bodies — shards execute in parallel and
+  land in the content-addressed artifact cache as each one finishes, so
+  editing one edition's targets re-executes exactly that shard, and a
+  run that dies part-way resumes from the shards it completed;
 - a shard's heavyweight intermediates (the synthetic world, harvested
   pages, linked records) die with the node body; only the compact
   per-shard analysis tables flow to the merge;
@@ -31,19 +33,13 @@ import numpy as np
 
 from repro.faults.degradation import DegradedCoverage, FaultStats, LossRecord
 from repro.faults.plan import FaultConfig
-from repro.faults.session import FaultSession
 from repro.gender.model import GenderAssignment
 from repro.gender.resolver import GenderResolver, ResolverPolicy
-from repro.harvest.webindex import build_name_keyed_evidence
 from repro.obs.context import NULL as _NULL_OBS
 from repro.obs.context import ObsContext
 from repro.obs.context import use as _obs_use
 from repro.pipeline.config import EngineConfig, RunConfig
 from repro.pipeline.dataset import AnalysisDataset
-from repro.pipeline.enrich import enrich_researchers
-from repro.pipeline.infer import infer_genders
-from repro.pipeline.ingest import ingest_world, ingest_world_resilient
-from repro.pipeline.link import link_identities
 from repro.synth.config import WorldConfig
 from repro.synth.shards import ShardPlan, ShardSpec
 from repro.tabular import Column, Table, concat_tables
@@ -69,10 +65,6 @@ class ShardParams:
     policy: ResolverPolicy | None
     faults: FaultConfig | None
     order: tuple[str, ...]
-
-    @property
-    def resilient(self) -> bool:
-        return False  # shard nodes own their fault handling internally
 
 
 @dataclass
@@ -101,14 +93,25 @@ def stage_shard(spec: ShardSpec, params: ShardParams, inputs: dict) -> dict:
     Pure in ``(config.seed, spec)``: the world draws from the named rng
     stream ``("shard", conference, year)`` and the population plan comes
     from the shard's own targets with repeat factors of 1.0 (a
-    one-edition pool has no cross-conference overlap to discount).
+    one-edition pool has no cross-conference overlap to discount).  The
+    stages after the world are the monolithic pipeline's own bodies
+    (:mod:`repro.engine.stages`), composed in-process without data
+    contracts.
     """
+    from repro.engine.stages import (
+        PipelineParams,
+        fault_totals,
+        stage_dataset,
+        stage_enrich,
+        stage_infer,
+        stage_ingest,
+        stage_link,
+    )
     from repro.synth.population import plan_from_targets
     from repro.synth.world import build_world
 
-    cfg = params.config
     world = build_world(
-        cfg,
+        params.config,
         targets=[spec.target],
         year=spec.year,
         rng_path=("shard", spec.conference, spec.year),
@@ -116,48 +119,21 @@ def stage_shard(spec: ShardSpec, params: ShardParams, inputs: dict) -> dict:
             [spec.target], author_repeat=1.0, pc_repeat=1.0
         ),
     )
+    stage_params = PipelineParams(policy=params.policy, faults=params.faults)
+    art = {"world": world}
+    for stage in (stage_ingest, stage_link, stage_enrich, stage_infer, stage_dataset):
+        art.update(stage(stage_params, art))
 
     losses: list[LossRecord] = []
     stats: FaultStats | None = None
     total = harvested_n = 1
-    if params.faults is not None:
-        report = ingest_world_resilient(world, year=spec.year, faults=params.faults)
-        harvested = report.conferences
-        losses.extend(report.losses)
-        stats = FaultStats()
-        stats.merge(report.stats)
+    report = art["ingest_report"]
+    if report is not None:  # the run has faults
+        losses, stats = fault_totals(report, art["enrich_faults"], art["infer_faults"])
         total = report.total_editions
         harvested_n = len(report.conferences)
-    else:
-        harvested = ingest_world(world, year=spec.year)
 
-    linked = link_identities(harvested)
-
-    enrich_session = FaultSession(params.faults) if params.faults is not None else None
-    enrichment = enrich_researchers(
-        linked, world.gs_store, world.s2_store, session=enrich_session
-    )
-    infer_session = FaultSession(params.faults) if params.faults is not None else None
-    name_evidence, name_truth = build_name_keyed_evidence(
-        world.registry, world.evidence_availability, world.true_genders
-    )
-    inference = infer_genders(
-        linked,
-        name_evidence,
-        name_truth,
-        seed=world.seed,
-        policy=params.policy,
-        photo_error_rate=cfg.photo_error_rate,
-        session=infer_session,
-    )
-    for session in (enrich_session, infer_session):
-        if session is not None:
-            losses.extend(session.losses)
-            if stats is None:
-                stats = FaultStats()
-            stats.merge(session.snapshot)
-
-    dataset = AnalysisDataset.build(linked, enrichment, inference.assignments)
+    dataset, linked = art["dataset"], art["linked"]
     name_keys = tuple(
         linked.researchers[rid].name_key for rid in dataset.researchers["researcher_id"]
     )
@@ -427,9 +403,8 @@ def _normalized_world(rc: RunConfig) -> tuple[WorldConfig, WorldConfig]:
 
 
 def run_sharded(
-    config: RunConfig | WorldConfig | None = None,
+    config: RunConfig | None = None,
     plan: ShardPlan | None = None,
-    **legacy,
 ) -> ShardedRunResult:
     """Run the sharded streaming pipeline and merge deterministically.
 
@@ -443,10 +418,10 @@ def run_sharded(
 
     optionally with an explicit ``plan`` (e.g. one edition's targets
     edited via :meth:`~repro.synth.shards.ShardPlan.with_target` — only
-    that shard and the merge re-execute against a warm cache).  Passing
-    a bare :class:`~repro.synth.config.WorldConfig` or the legacy
-    ``run_pipeline`` keyword arguments works through the same
-    deprecation shim as ``run_pipeline``.
+    that shard and the merge re-execute against a warm cache).  Each
+    shard lands in the cache as it finishes, so rerunning an
+    interrupted run against the same ``engine.cache_dir`` executes
+    only the missing shards plus the merge.
 
     Contract validation is not yet shard-aware: ``validation="strict"``
     raises, other modes are ignored.  ``shard_workers`` only changes the
@@ -454,9 +429,10 @@ def run_sharded(
     byte-identical for any worker count.
     """
     from repro.engine import IncompleteRunError, run_dag
-    from repro.pipeline.runner import _coerce_config
 
-    rc = _coerce_config(config, **legacy)
+    rc = RunConfig() if config is None else config
+    if not isinstance(rc, RunConfig):
+        raise TypeError(f"config must be a RunConfig, not {type(rc).__name__}")
     mode = rc.validation_mode()
     if mode is not None and mode.value == "strict":
         raise ValueError(

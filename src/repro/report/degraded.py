@@ -31,8 +31,6 @@ def render_degraded(dc: DegradedCoverage) -> str:
     persons = dc.dropped_persons
     if persons:
         add(f"- person lookups lost to faults: {len(persons)}")
-    if dc.resumed_editions:
-        add(f"- editions resumed from checkpoint: {len(dc.resumed_editions)}")
     per_stage = dc.per_stage()
     if per_stage:
         add(f"- losses per stage: "

@@ -196,10 +196,6 @@ def _render_observability(result: PipelineResult) -> str:
         add(f"- metrics: {len(obs.metrics)} series; notable counters:")
         for name in sorted(counters):
             add(f"  - `{name}` = {counters[name]}")
-    if result.timer.resumed:
-        add("- resumed from checkpoint: "
-            + ", ".join(sorted(result.timer.resumed))
-            + " (durations are checkpoint-load time, not fresh work)")
     if obs.profiler is not None and obs.profiler.profiles:
         add(f"- cProfile captured for {len(obs.profiler.profiles)} stage(s); "
             f"top-{obs.profiler.top_n} cumulative printed by `--profile`")

@@ -9,9 +9,9 @@ dict-of-seconds shape for the benchmarks and reports that grew up on it.
 Two long-standing reporting bugs are fixed here and guarded by
 regression tests (``tests/obs/test_regressions.py``):
 
-- a stage name that runs more than once (checkpoint resume, per-edition
-  retries, the repeated ``contracts`` hand-offs) **accumulates** its
-  durations instead of silently overwriting the earlier entry;
+- a stage name that runs more than once (per-edition retries, a
+  supervised node's re-attempts) **accumulates** its durations instead
+  of silently overwriting the earlier entry;
 - :meth:`StageTimer.report` sizes its name column to the longest stage
   name instead of misaligning everything past 20 characters.
 """
@@ -53,25 +53,19 @@ class StageTimer:
             ...
         timer.durations["harvest"]  # seconds, summed over every entry
 
-    ``resumed`` names stages whose work was loaded from a checkpoint
-    rather than recomputed — their near-zero durations are honest load
-    times, and :meth:`report` says so instead of letting them read as
-    "the stage was this fast".
+    ``cached`` names stages served from the engine artifact cache rather
+    than recomputed — their near-zero durations are honest load times,
+    and :meth:`report` says so instead of letting them read as "the
+    stage was this fast".
     """
 
     durations: dict[str, float] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
-    resumed: set[str] = field(default_factory=set)
     cached: set[str] = field(default_factory=set)
     tracer: "object | None" = None  # repro.obs.span.Tracer, duck-typed
 
     def stage(self, name: str) -> "_Stage":
         return _Stage(self, name)
-
-    def mark_resumed(self, name: str) -> None:
-        """Record that ``name``'s work came from a checkpoint this run."""
-        self.resumed.add(name)
-        self.durations.setdefault(name, 0.0)
 
     def mark_cached(self, name: str) -> None:
         """Record that ``name`` was served from the engine artifact cache."""
@@ -88,8 +82,6 @@ class StageTimer:
             suffix = ""
             if self.counts.get(name, 0) > 1:
                 suffix += f"  (x{self.counts[name]})"
-            if name in self.resumed:
-                suffix += "  (resumed from checkpoint)"
             if name in self.cached:
                 suffix += "  (cache hit)"
             lines.append(f"{name:<{width}s} {secs * 1e3:9.2f} ms{suffix}")

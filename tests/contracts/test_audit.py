@@ -7,7 +7,7 @@ import pytest
 from repro.cli import EXIT_CONTRACT_VIOLATION, main
 from repro.contracts import ContractViolationError, ValidationMode
 from repro.faults import FaultConfig
-from repro.pipeline import run_pipeline
+from repro.pipeline import RunConfig, run_pipeline
 from repro.synth import WorldConfig
 
 pytestmark = pytest.mark.contracts
@@ -15,7 +15,7 @@ pytestmark = pytest.mark.contracts
 
 @pytest.fixture(scope="module")
 def repair_result(small_world):
-    return run_pipeline(world=small_world, validation="repair")
+    return run_pipeline(RunConfig(validation="repair"), world=small_world)
 
 
 class TestPipelineIntegration:
@@ -28,7 +28,7 @@ class TestPipelineIntegration:
 
     def test_validation_modes_do_not_change_clean_output(self, small_world):
         plain = run_pipeline(world=small_world)
-        validated = run_pipeline(world=small_world, validation="repair")
+        validated = run_pipeline(RunConfig(validation="repair"), world=small_world)
         assert (
             plain.dataset.researchers.num_rows
             == validated.dataset.researchers.num_rows
@@ -37,7 +37,9 @@ class TestPipelineIntegration:
         assert plain.coverage == validated.coverage
 
     def test_strict_clean_world_passes(self, small_world):
-        result = run_pipeline(world=small_world, validation=ValidationMode.STRICT)
+        result = run_pipeline(
+            RunConfig(validation=ValidationMode.STRICT), world=small_world
+        )
         assert result.contracts.audit.ok
 
     def test_no_validation_no_report(self, small_result):
@@ -46,9 +48,11 @@ class TestPipelineIntegration:
     def test_faulted_repair_run_balances(self):
         """The ISSUE acceptance run: faults at 5%, repair mode, audit even."""
         result = run_pipeline(
-            WorldConfig(seed=7, scale=0.5),
-            faults=FaultConfig(rate=0.05, seed=7),
-            validation="repair",
+            RunConfig(
+                world=WorldConfig(seed=7, scale=0.5),
+                faults=FaultConfig(rate=0.05, seed=7),
+                validation="repair",
+            )
         )
         assert result.contracts is not None
         assert result.contracts.audit.ok, result.contracts.audit.summary()
@@ -61,9 +65,11 @@ class TestPipelineIntegration:
         strict mode must refuse it."""
         with pytest.raises(ContractViolationError):
             run_pipeline(
-                WorldConfig(seed=7, scale=0.5),
-                faults=FaultConfig(rate=0.05, seed=7),
-                validation="strict",
+                RunConfig(
+                    world=WorldConfig(seed=7, scale=0.5),
+                    faults=FaultConfig(rate=0.05, seed=7),
+                    validation="strict",
+                )
             )
 
     def test_audit_report_in_run_report(self, repair_result):

@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from repro.engine.cache import CACHE_FORMAT, ArtifactCache
-from repro.pipeline.checkpoint import CheckpointMismatch
+from repro.engine.cache import CACHE_FORMAT, ArtifactCache, CacheMismatch
 
 pytestmark = pytest.mark.engine
 
@@ -57,7 +56,7 @@ class TestArtifactCache:
 
 class TestCacheMismatch:
     """Regression: a foreign/stale cache directory must raise
-    CheckpointMismatch instead of silently serving its artifacts."""
+    CacheMismatch instead of silently serving its artifacts."""
 
     def test_foreign_format_refused(self, tmp_path):
         root = tmp_path / "cache"
@@ -65,7 +64,7 @@ class TestCacheMismatch:
         (root / "meta.json").write_text(
             json.dumps({"format": "somebody-else", "schema": 0}), encoding="utf-8"
         )
-        with pytest.raises(CheckpointMismatch):
+        with pytest.raises(CacheMismatch):
             ArtifactCache(root)
 
     def test_stale_schema_refused(self, tmp_path):
@@ -73,7 +72,7 @@ class TestCacheMismatch:
         root.mkdir()
         stale = dict(CACHE_FORMAT, schema=CACHE_FORMAT["schema"] - 1)
         (root / "meta.json").write_text(json.dumps(stale), encoding="utf-8")
-        with pytest.raises(CheckpointMismatch):
+        with pytest.raises(CacheMismatch):
             ArtifactCache(root)
 
     def test_populated_unrelated_directory_refused(self, tmp_path):
@@ -82,16 +81,19 @@ class TestCacheMismatch:
         root = tmp_path / "out"
         root.mkdir()
         (root / "results.csv").write_text("precious\n", encoding="utf-8")
-        with pytest.raises(CheckpointMismatch):
+        with pytest.raises(CacheMismatch):
             ArtifactCache(root)
         assert (root / "results.csv").read_text(encoding="utf-8") == "precious\n"
 
     def test_checkpoint_directory_refused_as_cache(self, tmp_path):
         """A legacy checkpoint dir (different fingerprint shape) is not
         silently adopted as an engine cache."""
-        from repro.pipeline.checkpoint import CheckpointStore
-
         root = tmp_path / "ck"
-        CheckpointStore(root, {"seed": 1, "scale": 1.0, "faults": "none"}).begin()
-        with pytest.raises(CheckpointMismatch):
+        root.mkdir()
+        # the meta.json the deleted checkpoint store stamped its runs with
+        (root / "meta.json").write_text(
+            json.dumps({"faults": "none", "scale": 1.0, "seed": 1}, indent=2),
+            encoding="utf-8",
+        )
+        with pytest.raises(CacheMismatch):
             ArtifactCache(root)

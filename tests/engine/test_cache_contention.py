@@ -17,8 +17,8 @@ import time
 
 import pytest
 
+from repro.engine import cache as cache_module
 from repro.engine.cache import ArtifactCache
-from repro.pipeline.checkpoint import CheckpointStore
 
 fcntl = pytest.importorskip("fcntl", reason="advisory locking is POSIX-only")
 
@@ -69,21 +69,21 @@ class TestConcurrentSave:
         in_section = 0
         max_overlap = 0
         gauge = threading.Lock()
-        real_save = CheckpointStore.save_stage
+        real_write = cache_module._atomic_write
 
-        def slow_save(self, stage, obj):
+        def slow_write(path, data):
             nonlocal in_section, max_overlap
             with gauge:
                 in_section += 1
                 max_overlap = max(max_overlap, in_section)
             time.sleep(0.01)  # widen the window a torn write would need
             try:
-                return real_save(self, stage, obj)
+                return real_write(path, data)
             finally:
                 with gauge:
                     in_section -= 1
 
-        monkeypatch.setattr(CheckpointStore, "save_stage", slow_save)
+        monkeypatch.setattr(cache_module, "_atomic_write", slow_write)
         barrier = threading.Barrier(2)
 
         def writer(tag: int) -> None:

@@ -105,11 +105,7 @@ class TestPipelineGraph:
 
         a = build_graph(PipelineParams())
         b = build_graph(
-            PipelineParams(
-                parallel=ParallelConfig(workers=4),
-                checkpoint_dir="/tmp/somewhere",
-                resume=False,
-            )
+            PipelineParams(parallel=ParallelConfig(workers=4))
         )
         for na, nb in zip(a.nodes, b.nodes):
             assert na.params == nb.params

@@ -7,8 +7,9 @@ The acceptance bar from the redesign issue:
   never appears;
 - cold, warm, and parallel runs produce identical ``PipelineResult``
   payloads (datasets byte-identical under pickle);
-- the legacy ``run_pipeline(WorldConfig, ...)`` spelling still works,
-  emits ``DeprecationWarning``, and matches the ``RunConfig`` spelling.
+- ``RunConfig`` is the only calling convention: the deprecated
+  ``run_pipeline(WorldConfig, ...)`` and keyword spellings raise
+  ``TypeError``.
 """
 
 import pytest
@@ -131,16 +132,11 @@ class TestResultIdentity:
         assert obs.metrics.counters.get("engine.cache.hits", 0) == N_NODES
         assert _dataset_bytes(fanned) == _dataset_bytes(serial)
 
-    def test_engine_matches_legacy_path(self, small_world, small_result):
-        engine = _run(None, world=small_world)
-        assert _datasets_equal(engine.dataset, small_result.dataset)
-        assert engine.coverage == small_result.coverage
-
 
 class TestEngineFeatureParity:
     def test_faults_and_validation_through_engine(self, small_world, tmp_path):
         faults = FaultConfig(rate=0.25, seed=3)
-        legacy = run_pipeline(
+        uncached = run_pipeline(
             RunConfig(world=None, faults=faults, validation="repair"),
             world=small_world,
         )
@@ -157,12 +153,12 @@ class TestEngineFeatureParity:
             validation="repair",
         )
         for got in (engine, warm):
-            assert _datasets_equal(got.dataset, legacy.dataset)
-            assert got.coverage == legacy.coverage
-            assert got.degraded == legacy.degraded
-            assert got.contracts.audit == legacy.contracts.audit
+            assert _datasets_equal(got.dataset, uncached.dataset)
+            assert got.coverage == uncached.coverage
+            assert got.degraded == uncached.degraded
+            assert got.contracts.audit == uncached.contracts.audit
             assert len(got.contracts.quarantine.entries) == len(
-                legacy.contracts.quarantine.entries
+                uncached.contracts.quarantine.entries
             )
 
     def test_strict_validation_passes_clean_run(self, small_world):
@@ -172,20 +168,13 @@ class TestEngineFeatureParity:
 
 
 class TestRunConfigCompatibility:
-    def test_legacy_spelling_warns_and_matches(self, small_world):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_pipeline(world=small_world, validation="repair")
-        modern = run_pipeline(
-            RunConfig(world=None, validation="repair"), world=small_world
-        )
-        assert _datasets_equal(legacy.dataset, modern.dataset)
-        assert legacy.coverage == modern.coverage
+    def test_legacy_kwargs_raise_type_error(self, small_world):
+        with pytest.raises(TypeError, match="validation"):
+            run_pipeline(world=small_world, validation="repair")
 
-    def test_worldconfig_positional_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_pipeline(SMALL)
-        modern = run_pipeline(RunConfig(world=SMALL))
-        assert _datasets_equal(legacy.dataset, modern.dataset)
+    def test_worldconfig_positional_raises_type_error(self):
+        with pytest.raises(TypeError, match="must be a RunConfig"):
+            run_pipeline(SMALL)
 
     def test_runconfig_spelling_emits_no_warning(self, small_world):
         import warnings as _w
@@ -194,17 +183,17 @@ class TestRunConfigCompatibility:
             _w.simplefilter("error", DeprecationWarning)
             run_pipeline(RunConfig(world=None), world=small_world)
 
-    def test_kwargs_alongside_runconfig_warn_but_apply(self, small_world):
-        with pytest.warns(DeprecationWarning):
-            result = run_pipeline(
-                RunConfig(world=None), world=small_world, validation="repair"
-            )
-        assert result.contracts is not None
+    def test_kwargs_alongside_runconfig_raise_type_error(self, small_world):
+        with pytest.raises(TypeError, match="validation"):
+            run_pipeline(RunConfig(world=None), world=small_world, validation="repair")
 
     def test_resume_without_checkpoint_dir_rejected(self):
-        with pytest.raises(ValueError, match="resume"):
+        # the checkpoint fields are gone: resuming is a rerun on the cache
+        with pytest.raises(TypeError, match="resume"):
             RunConfig(world=SMALL, resume=True)
+        with pytest.raises(TypeError, match="checkpoint_dir"):
+            RunConfig(world=SMALL, checkpoint_dir="ck")
 
     def test_bogus_config_type_rejected(self):
-        with pytest.raises(TypeError, match="RunConfig or WorldConfig"):
+        with pytest.raises(TypeError, match="must be a RunConfig"):
             run_pipeline({"seed": 1})

@@ -26,6 +26,7 @@ from repro.engine import (
     run_dag,
     watchdog_map,
 )
+from repro.engine.cache import ArtifactCache, CacheWriteError
 from repro.engine.supervise import DEADLINE_ERROR
 from repro.faults.chaos import ChaosConfig, ChaosKind, ChaosPlan
 from repro.obs import ObsContext
@@ -63,6 +64,18 @@ def _work(params, inputs):
 
 def _omits(params, inputs):
     return {}  # declared outputs never produced
+
+
+def _logged_a(params, inputs):
+    with open(params, "a") as fh:
+        fh.write("a\n")
+    return {"a": 1}
+
+
+def _logged_c(params, inputs):
+    with open(params, "a") as fh:
+        fh.write("c\n")
+    return {"c": 3}
 
 
 def _sleepy(item):
@@ -125,6 +138,38 @@ class TestUnsupervisedContract:
         assert run.failed == {} and run.skipped == {}
         assert run.retries == 0 and run.virtual_time == 0.0
         assert all(r.status == "ok" and r.attempts == 1 for r in run.results)
+
+
+class TestCacheWriteFailure:
+    """A node's entry is saved inside its attempt; a failed save aborts.
+
+    The body already succeeded, so retrying it would only recompute and
+    fail the same write: supervised runs raise the typed
+    :class:`CacheWriteError` just as unsupervised ones do, after one
+    execution of each body.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("supervise", [None, SupervisorConfig()])
+    def test_write_error_aborts_without_retrying_the_body(
+        self, tmp_path, monkeypatch, workers, supervise
+    ):
+        def disk_full(path, data):
+            raise CacheWriteError(f"atomic write to {path} failed mid-stream: disk full")
+
+        ArtifactCache(tmp_path / "cache")  # meta.json lands before the disk fills
+        monkeypatch.setattr("repro.engine.cache._atomic_write", disk_full)
+        log = tmp_path / "bodies.log"
+        graph = StageGraph(
+            nodes=[StageNode(name="a", fn=_logged_a), StageNode(name="c", fn=_logged_c)]
+        )
+        engine = EngineConfig(
+            cache_dir=str(tmp_path / "cache"), workers=workers, supervise=supervise
+        )
+        with pytest.raises(CacheWriteError, match="disk full"):
+            run_dag(graph, params=str(log), engine=engine)
+        calls = log.read_text().split()
+        assert "a" in calls and len(calls) == len(set(calls))  # none ran twice
 
 
 class TestFailureIsolation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gender.model import Gender
-from repro.pipeline import run_pipeline
+from repro.pipeline import RunConfig, run_pipeline
 from repro.synth import WorldConfig
 from repro.util.parallel import ParallelConfig
 
@@ -12,16 +12,16 @@ from repro.util.parallel import ParallelConfig
 class TestDeterminism:
     def test_same_seed_same_dataset(self):
         cfg = WorldConfig(seed=77, scale=0.15, include_timeline=False)
-        a = run_pipeline(cfg)
-        b = run_pipeline(cfg)
+        a = run_pipeline(RunConfig(world=cfg))
+        b = run_pipeline(RunConfig(world=cfg))
         assert a.dataset.researchers.equals(b.dataset.researchers)
         assert a.dataset.papers.equals(b.dataset.papers)
 
     def test_parallel_ingest_same_dataset(self):
         cfg = WorldConfig(seed=78, scale=0.15, include_timeline=False)
-        serial = run_pipeline(cfg)
+        serial = run_pipeline(RunConfig(world=cfg))
         par = run_pipeline(
-            cfg, parallel=ParallelConfig(workers=3, min_items_per_worker=1)
+            RunConfig(world=cfg, parallel=ParallelConfig(workers=3, min_items_per_worker=1))
         )
         assert serial.dataset.researchers.equals(par.dataset.researchers)
         assert serial.dataset.author_positions.equals(par.dataset.author_positions)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import blind_report, far_report, pc_report
-from repro.pipeline import run_pipeline
+from repro.pipeline import RunConfig, run_pipeline
 from repro.synth import WorldConfig
 
 SEEDS = [101, 202, 303]
@@ -18,7 +18,7 @@ SEEDS = [101, 202, 303]
 @pytest.fixture(scope="module", params=SEEDS)
 def seeded_result(request):
     return run_pipeline(
-        WorldConfig(seed=request.param, scale=0.35, include_timeline=False)
+        RunConfig(world=WorldConfig(seed=request.param, scale=0.35, include_timeline=False))
     )
 
 

@@ -18,7 +18,7 @@ import os
 import pytest
 
 from repro.faults import FaultConfig
-from repro.pipeline import run_pipeline
+from repro.pipeline import RunConfig, run_pipeline
 from repro.util.parallel import ParallelConfig
 
 ENV_RATE = float(os.environ.get("REPRO_FAULT_RATE", "0.25"))
@@ -40,7 +40,7 @@ def _datasets_equal(a, b) -> bool:
 @pytest.mark.faults
 class TestRateZeroIdentity:
     def test_bit_identical_to_fault_free_run(self, small_world, small_result):
-        resilient = run_pipeline(world=small_world, faults=FaultConfig(rate=0.0))
+        resilient = run_pipeline(RunConfig(faults=FaultConfig(rate=0.0)), world=small_world)
         assert _datasets_equal(resilient.dataset, small_result.dataset)
         assert resilient.coverage == small_result.coverage
         dc = resilient.degraded
@@ -53,11 +53,13 @@ class TestRateZeroIdentity:
 class TestWorkerInvariance:
     def test_degraded_coverage_identical_across_worker_counts(self, small_world):
         faults = FaultConfig(rate=ENV_RATE, seed=5)
-        serial = run_pipeline(world=small_world, faults=faults)
+        serial = run_pipeline(RunConfig(faults=faults), world=small_world)
         four = run_pipeline(
+            RunConfig(
+                faults=faults,
+                parallel=ParallelConfig(workers=4, min_items_per_worker=1),
+            ),
             world=small_world,
-            faults=faults,
-            parallel=ParallelConfig(workers=4, min_items_per_worker=1),
         )
         assert serial.degraded == four.degraded
         assert _datasets_equal(serial.dataset, four.dataset)
@@ -65,13 +67,13 @@ class TestWorkerInvariance:
 
     def test_same_seed_reproduces_same_losses(self, small_world):
         faults = FaultConfig(rate=ENV_RATE, seed=5)
-        a = run_pipeline(world=small_world, faults=faults)
-        b = run_pipeline(world=small_world, faults=faults)
+        a = run_pipeline(RunConfig(faults=faults), world=small_world)
+        b = run_pipeline(RunConfig(faults=faults), world=small_world)
         assert a.degraded == b.degraded
 
     def test_different_fault_seed_differs(self, small_world):
-        a = run_pipeline(world=small_world, faults=FaultConfig(rate=0.5, seed=5))
-        b = run_pipeline(world=small_world, faults=FaultConfig(rate=0.5, seed=6))
+        a = run_pipeline(RunConfig(faults=FaultConfig(rate=0.5, seed=5)), world=small_world)
+        b = run_pipeline(RunConfig(faults=FaultConfig(rate=0.5, seed=6)), world=small_world)
         assert a.degraded != b.degraded
 
 
@@ -80,8 +82,7 @@ class TestNothingEscapes:
     @pytest.mark.parametrize("rate", [0.5, 1.0])
     def test_run_completes_under_heavy_faults(self, small_world, rate):
         result = run_pipeline(
-            world=small_world,
-            faults=FaultConfig(rate=rate, seed=3),
+            RunConfig(faults=FaultConfig(rate=rate, seed=3)), world=small_world
         )
         dc = result.degraded
         # every edition is either in the dataset or in the loss ledger
@@ -92,8 +93,8 @@ class TestNothingEscapes:
     def test_total_loss_still_yields_a_result(self, small_world):
         # transient-only at rate 1: every harvest exhausts, nothing survives
         result = run_pipeline(
+            RunConfig(faults=FaultConfig(rate=1.0, seed=3, weights=(1.0, 0.0, 0.0, 0.0))),
             world=small_world,
-            faults=FaultConfig(rate=1.0, seed=3, weights=(1.0, 0.0, 0.0, 0.0)),
         )
         dc = result.degraded
         assert dc.harvested_editions == 0
@@ -104,7 +105,7 @@ class TestNothingEscapes:
         from repro.report.textreport import full_report
 
         result = run_pipeline(
-            world=small_world, faults=FaultConfig(rate=ENV_RATE, seed=5)
+            RunConfig(faults=FaultConfig(rate=ENV_RATE, seed=5)), world=small_world
         )
         text = full_report(result)
         assert "Degraded coverage" in text

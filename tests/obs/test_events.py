@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs import EVENT_TYPES, Event, EventLog, NullEventLog, ObsContext, write_events
-from repro.pipeline import run_pipeline
+from repro.pipeline import RunConfig, run_pipeline
 from repro.util.parallel import ParallelConfig
 
 pytestmark = [pytest.mark.obs, pytest.mark.ledger]
@@ -27,8 +27,7 @@ class TestTaxonomy:
     def test_taxonomy_covers_every_instrumented_layer(self):
         prefixes = {t.split(".")[0] for t in EVENT_TYPES}
         assert prefixes == {
-            "run", "span", "stage", "cache", "checkpoint", "fault", "contract",
-            "node", "serve",
+            "run", "span", "stage", "cache", "fault", "contract", "node", "serve",
         }
 
 
@@ -70,12 +69,14 @@ class TestAdoption:
         def stream(workers):
             obs = ObsContext(seed=small_world.seed)
             run_pipeline(
+                RunConfig(
+                    obs=obs,
+                    parallel=ParallelConfig(workers=workers, min_items_per_worker=1)
+                    if workers
+                    else None,
+                    validation="repair",
+                ),
                 world=small_world,
-                obs=obs,
-                parallel=ParallelConfig(workers=workers, min_items_per_worker=1)
-                if workers
-                else None,
-                validation="repair",
             )
             return obs.events.identity()
 

@@ -5,14 +5,14 @@ import json
 import pytest
 
 from repro.obs import ObsContext, write_metrics, write_trace
-from repro.pipeline import run_pipeline
+from repro.pipeline import RunConfig, run_pipeline
 
 pytestmark = pytest.mark.obs
 
 
 def _traced_run(small_world):
     obs = ObsContext(seed=small_world.seed)
-    result = run_pipeline(world=small_world, obs=obs, validation="repair")
+    result = run_pipeline(RunConfig(obs=obs, validation="repair"), world=small_world)
     return obs, result
 
 
@@ -96,28 +96,32 @@ class TestCli:
     def test_run_with_obs_flags_writes_artifacts(self, tmp_path, capsys):
         from repro.cli import main
 
-        code = main(
-            [
-                "--scale",
-                "0.25",
-                "--seed",
-                "11",
-                "--trace",
-                "--metrics",
-                "--profile",
-                "--obs-dir",
-                str(tmp_path),
-                "run",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "trace written to" in out
-        assert "metrics written to" in out
-        assert "cumulative" in out  # the per-stage cProfile table
-        json.loads((tmp_path / "trace.json").read_text(encoding="utf-8"))
-        doc = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))
-        assert doc["meta"]["seed"] == 11
+        # uncached and cached runs execute the same node bodies, and both
+        # profile them
+        for cache in ([], ["--cache-dir", str(tmp_path / "cache")]):
+            code = main(
+                [
+                    "--scale",
+                    "0.25",
+                    "--seed",
+                    "11",
+                    "--trace",
+                    "--metrics",
+                    "--profile",
+                    "--obs-dir",
+                    str(tmp_path),
+                    *cache,
+                    "run",
+                ]
+            )
+            assert code == 0
+            out = capsys.readouterr().out
+            assert "trace written to" in out
+            assert "metrics written to" in out
+            assert "cumulative" in out  # the per-stage cProfile table
+            json.loads((tmp_path / "trace.json").read_text(encoding="utf-8"))
+            doc = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))
+            assert doc["meta"]["seed"] == 11
 
     def test_run_without_flags_writes_nothing(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main

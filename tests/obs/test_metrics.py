@@ -5,7 +5,7 @@ import pytest
 from repro.faults import FaultConfig
 from repro.obs import ObsContext
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline import run_pipeline
+from repro.pipeline import RunConfig, run_pipeline
 from repro.util.parallel import ParallelConfig
 
 pytestmark = pytest.mark.obs
@@ -69,7 +69,7 @@ class TestPipelineDeterminism:
         runs = []
         for _ in range(2):
             obs = ObsContext(seed=small_world.seed)
-            run_pipeline(world=small_world, obs=obs, validation="repair")
+            run_pipeline(RunConfig(obs=obs, validation="repair"), world=small_world)
             runs.append(obs)
         assert runs[0].metrics.to_dict(exclude_timings=True) == runs[1].metrics.to_dict(
             exclude_timings=True
@@ -80,10 +80,12 @@ class TestPipelineDeterminism:
         def run(workers):
             obs = ObsContext(seed=small_world.seed)
             run_pipeline(
+                RunConfig(
+                    obs=obs,
+                    faults=FaultConfig(rate=0.3, seed=5),
+                    parallel=ParallelConfig(workers=workers, min_items_per_worker=1),
+                ),
                 world=small_world,
-                obs=obs,
-                faults=FaultConfig(rate=0.3, seed=5),
-                parallel=ParallelConfig(workers=workers, min_items_per_worker=1),
             )
             return obs
 
@@ -93,7 +95,7 @@ class TestPipelineDeterminism:
 
     def test_pipeline_populates_expected_series(self, small_world):
         obs = ObsContext(seed=small_world.seed)
-        result = run_pipeline(world=small_world, obs=obs)
+        result = run_pipeline(RunConfig(obs=obs), world=small_world)
         c = obs.metrics.counters
         g = obs.metrics.gauges
         assert c["harvest.editions"] == len(result.linked.conferences)
@@ -107,7 +109,7 @@ class TestPipelineDeterminism:
     def test_fault_metrics_feed_registry(self, small_world):
         obs = ObsContext(seed=small_world.seed)
         result = run_pipeline(
-            world=small_world, obs=obs, faults=FaultConfig(rate=0.4, seed=3)
+            RunConfig(obs=obs, faults=FaultConfig(rate=0.4, seed=3)), world=small_world
         )
         c = obs.metrics.counters
         assert sum(v for k, v in c.items() if k.startswith("faults.injected.")) > 0
@@ -116,10 +118,8 @@ class TestPipelineDeterminism:
     def test_contract_metrics_feed_registry(self, small_world):
         obs = ObsContext(seed=small_world.seed)
         result = run_pipeline(
+            RunConfig(obs=obs, faults=FaultConfig(rate=0.4, seed=3), validation="repair"),
             world=small_world,
-            obs=obs,
-            faults=FaultConfig(rate=0.4, seed=3),
-            validation="repair",
         )
         c = obs.metrics.counters
         dispositions = len(result.contracts.quarantine.entries)
@@ -193,11 +193,13 @@ class TestSnapshotKeyOrder:
         def snapshot(workers):
             obs = ObsContext(seed=small_world.seed)
             run_pipeline(
+                RunConfig(
+                    obs=obs,
+                    parallel=ParallelConfig(workers=workers, min_items_per_worker=1)
+                    if workers
+                    else None,
+                ),
                 world=small_world,
-                obs=obs,
-                parallel=ParallelConfig(workers=workers, min_items_per_worker=1)
-                if workers
-                else None,
             )
             return json.dumps(obs.metrics.to_dict(exclude_timings=True))
 

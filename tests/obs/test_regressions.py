@@ -1,26 +1,19 @@
-"""Regression tests for the three bugfixes shipped with the obs layer.
+"""Regression tests for bugfixes shipped with the obs layer.
 
 1. ``StageTimer`` accumulates durations for a stage name that runs more
-   than once (checkpoint resume, the repeated ``contracts`` hand-offs)
+   than once (a retried node, the repeated ``contracts`` hand-offs)
    instead of overwriting the earlier entry, and ``report()`` no longer
    misaligns names longer than 20 characters.
 2. ``TaskError`` preserves the original formatted traceback from the
    raise site while staying equal across the serial and parallel paths.
-3. A resumed run marks the resumed stages (``resumed_from_checkpoint``)
-   so near-zero checkpoint-load durations cannot read as fresh work.
 """
 
 import pytest
 
-from repro.faults import FaultConfig
-from repro.obs import ObsContext
-from repro.pipeline import run_pipeline
 from repro.util.parallel import ParallelConfig, TaskError, parallel_map
 from repro.util.timing import StageTimer
 
 pytestmark = pytest.mark.obs
-
-NO_FAULTS = FaultConfig(rate=0.0, seed=1)
 
 
 def _raise_value_error(x):
@@ -114,47 +107,3 @@ class TestTaskErrorTraceback:
             capture_errors=True,
         )
         assert serial == par
-
-
-class TestResumeMarker:
-    def test_fresh_run_marks_nothing(self, small_world, tmp_path):
-        result = run_pipeline(
-            world=small_world,
-            faults=NO_FAULTS,
-            checkpoint_dir=str(tmp_path / "ck"),
-        )
-        assert result.timer.resumed == set()
-        assert "(resumed from checkpoint)" not in result.timer.report()
-
-    def test_resumed_run_marks_ingest_and_enrich(self, small_world, tmp_path):
-        ck = str(tmp_path / "ck")
-        run_pipeline(world=small_world, faults=NO_FAULTS, checkpoint_dir=ck)
-        obs = ObsContext(seed=small_world.seed)
-        again = run_pipeline(
-            world=small_world,
-            faults=NO_FAULTS,
-            checkpoint_dir=ck,
-            resume=True,
-            obs=obs,
-        )
-        assert again.timer.resumed == {"ingest", "enrich"}
-        report = again.timer.report()
-        for line in report.splitlines():
-            if line.startswith(("ingest", "enrich")):
-                assert "(resumed from checkpoint)" in line
-        assert obs.metrics.counters["checkpoint.stages_resumed"] == 2
-        ingest_span = obs.tracer.by_name("ingest")[0]
-        assert ingest_span.attrs["resumed_from_checkpoint"] is True
-        assert ingest_span.attrs["resumed_editions"] > 0
-        enrich_span = obs.tracer.by_name("enrich")[0]
-        assert enrich_span.attrs["resumed_from_checkpoint"] is True
-
-    def test_resumed_duration_still_recorded(self, small_world, tmp_path):
-        ck = str(tmp_path / "ck")
-        run_pipeline(world=small_world, faults=NO_FAULTS, checkpoint_dir=ck)
-        again = run_pipeline(
-            world=small_world, faults=NO_FAULTS, checkpoint_dir=ck, resume=True
-        )
-        # the (tiny) checkpoint-load time is kept, never dropped
-        assert again.timer.durations["ingest"] >= 0.0
-        assert "ingest" in again.timer.durations

@@ -102,8 +102,6 @@ API_SURFACE = [
     "ArtifactCache",
     "StageGraph",
     "StageNode",
-    "CheckpointStore",
-    "CheckpointMismatch",
 ]
 
 

@@ -210,11 +210,9 @@ def test_run_sharded_refuses_strict_validation():
         run_sharded(RunConfig(world=SMALL, shards=3, validation="strict"))
 
 
-def test_run_sharded_accepts_bare_worldconfig_shim():
-    with pytest.deprecated_call():
-        res = run_sharded(WorldConfig(seed=9, scale=0.3, venues=2))
-    assert len(res.plan) == 2
-    assert res.researchers > 0
+def test_run_sharded_rejects_bare_worldconfig():
+    with pytest.raises(TypeError, match="must be a RunConfig"):
+        run_sharded(WorldConfig(seed=9, scale=0.3, venues=2))
 
 
 # ------------------------------------------------------------------- CLI
