@@ -6,7 +6,7 @@ FAULT_RATE ?= 0.5
 # run straight from the source tree; harmless when pip-installed
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test faults contracts obs engine ledger chaos serve serve-test bench-serve tabular-bench scale scale-bench regress engine-demo audit bench perfbench perfbench-trace examples artifact report trace profile verify-all clean
+.PHONY: install test faults contracts obs engine ledger chaos golden serve serve-test bench-serve tabular-bench scale scale-bench regress engine-demo audit bench perfbench perfbench-trace examples artifact report trace profile verify-all clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -33,6 +33,12 @@ engine:
 # run-ledger suite (event log, run records, sentinel, dashboard, runs CLI)
 ledger:
 	$(PYTHON) -m pytest tests/ -m ledger
+
+# byte-identity guards for stream-preserving rewrites (METHODOLOGY §17):
+# pinned world and shard-dataset digests, pinned fingerprints and ledger
+# bodies, and each rewritten hot path against a copy of its old body
+golden:
+	$(PYTHON) -m pytest tests/synth/test_world_golden.py tests/test_one_pipeline_golden.py tests/test_fast_path_equivalence.py
 
 # the analysis-as-a-service front door (Ctrl-C / SIGTERM drains gracefully)
 serve:

@@ -7,7 +7,17 @@ import numpy as np
 from repro.stats.proportions import Proportion
 from repro.tabular import Table
 
-__all__ = ["women_share", "share_of", "mask_eq"]
+__all__ = ["women_share", "share_of", "mask_eq", "venues"]
+
+
+def venues(ds) -> list[str]:
+    """Distinct conference names of a dataset, in first-seen order.
+
+    ``ds.conferences`` has one row per *edition*, so a multi-year
+    dataset names each venue once per year; per-venue analyses iterate
+    over this list instead, visiting each venue once.
+    """
+    return list(dict.fromkeys(ds.conferences["conference"]))
 
 
 def mask_eq(table: Table, column: str, value) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.common import mask_eq, women_share
+from repro.analysis.common import mask_eq, venues, women_share
 from repro.pipeline.dataset import AnalysisDataset
 from repro.stats.chisquare import Chi2Result
 from repro.stats.proportions import Proportion, proportion_diff
@@ -56,7 +56,7 @@ def far_report(ds: AnalysisDataset) -> FarReport:
     last_overall = women_share(lasts)
 
     by_conf = []
-    for conf in ds.conferences["conference"]:
+    for conf in venues(ds):
         uniq = ds.conf_authors.filter(lambda t: mask_eq(t, "conference", conf))
         cf = firsts.filter(lambda t: mask_eq(t, "conference", conf))
         cl = lasts.filter(lambda t: mask_eq(t, "conference", conf))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import mask_eq, women_share
+from repro.analysis.common import mask_eq, venues, women_share
 from repro.pipeline.dataset import AnalysisDataset
 from repro.stats.chisquare import Chi2Result
 from repro.stats.proportions import Proportion, proportion_diff
@@ -39,8 +39,9 @@ def pc_report(ds: AnalysisDataset) -> PcReport:
     pc = slots.filter(lambda t: mask_eq(t, "role", "pc_member"))
     memberships = women_share(pc)
 
+    names = venues(ds)
     by_conf: dict[str, Proportion] = {}
-    for conf in ds.conferences["conference"]:
+    for conf in names:
         by_conf[conf] = women_share(pc.filter(lambda t: mask_eq(t, "conference", conf)))
 
     non_sc = pc.filter(lambda t: ~mask_eq(t, "conference", "SC"))
@@ -53,7 +54,7 @@ def pc_report(ds: AnalysisDataset) -> PcReport:
     chairs = women_share(chairs_tab)
     chairs_by_conf: dict[str, Proportion] = {}
     zero: list[str] = []
-    for conf in ds.conferences["conference"]:
+    for conf in names:
         p = women_share(chairs_tab.filter(lambda t: mask_eq(t, "conference", conf)))
         chairs_by_conf[conf] = p
         if p.n > 0 and p.hits == 0:

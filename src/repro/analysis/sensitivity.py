@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.blind import blind_report
-from repro.analysis.far import far_report
+from repro.analysis.far import FarReport, far_report
 from repro.analysis.pc import pc_report
 from repro.gender.model import Gender
 from repro.gender.sensitivity import reassign_unknowns
@@ -49,8 +49,8 @@ class SensitivityReport:
         return all(o.stable for o in self.observations)
 
 
-def _observations(ds: AnalysisDataset) -> dict[str, bool]:
-    far = far_report(ds)
+def _observations(ds: AnalysisDataset, far: FarReport) -> dict[str, bool]:
+    """The observations over ``ds``, given its already-computed FAR report."""
     blind = blind_report(ds)
     pc = pc_report(ds)
     return {
@@ -74,14 +74,16 @@ def _observations(ds: AnalysisDataset) -> dict[str, bool]:
 
 def sensitivity_report(ds: AnalysisDataset) -> SensitivityReport:
     """Run the §2 sensitivity analysis over an analysis dataset."""
-    base_obs = _observations(ds)
-    far_values = {"baseline": far_report(ds).overall.value}
+    far = far_report(ds)
+    base_obs = _observations(ds, far)
+    far_values = {"baseline": far.overall.value}
 
     scenarios: dict[str, dict[str, bool]] = {}
     for label, forced in (("all_women", Gender.F), ("all_men", Gender.M)):
         forced_ds = ds.with_assignments(reassign_unknowns(ds.assignments, forced))
-        scenarios[label] = _observations(forced_ds)
-        far_values[label] = far_report(forced_ds).overall.value
+        far = far_report(forced_ds)
+        scenarios[label] = _observations(forced_ds, far)
+        far_values[label] = far.overall.value
 
     observations = tuple(
         Observation(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.common import mask_eq, women_share
+from repro.analysis.common import mask_eq, venues, women_share
 from repro.pipeline.dataset import AnalysisDataset
 from repro.stats.proportions import Proportion
 
@@ -36,13 +36,14 @@ def visible_report(ds: AnalysisDataset) -> VisibleReport:
     by_conf: dict[str, dict[str, Proportion]] = {}
     zero: dict[str, tuple[str, ...]] = {}
 
+    names = venues(ds)
     seats_at: dict[str, int] = {}
     for role in _VISIBLE:
         tab = slots.filter(lambda t: mask_eq(t, "role", role))
         overall[role] = women_share(tab)
         conf_map: dict[str, Proportion] = {}
         zero_confs: list[str] = []
-        for conf in ds.conferences["conference"]:
+        for conf in names:
             sub = tab.filter(lambda t: mask_eq(t, "conference", conf))
             p = women_share(sub)
             conf_map[conf] = p

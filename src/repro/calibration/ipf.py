@@ -47,15 +47,6 @@ class IPFResult:
     converged: bool
 
 
-def _margin(table: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """Sum ``table`` over every axis not in ``dims`` (dims keep order)."""
-    other = tuple(ax for ax in range(table.ndim) if ax not in dims)
-    m = table.sum(axis=other)
-    # table.sum drops axes; reorder to match dims order if permuted
-    order = np.argsort(np.argsort(dims))
-    return np.transpose(m, axes=order) if m.ndim > 1 else m
-
-
 def ipf_fit(
     seed: np.ndarray,
     margins: Sequence[tuple[tuple[int, ...], np.ndarray]],
@@ -112,39 +103,41 @@ def ipf_fit(
     if table.sum() == 0:
         raise ValueError("seed table sums to zero")
 
+    # Per margin, what no sweep changes, computed once per fit: the axes
+    # summed away, the axis order of the reduced margin (table.sum drops
+    # axes), the permutation and broadcast shape of its factor, and the
+    # error denominator.
+    plans = []
+    for dims, target in specs:
+        other = tuple(ax for ax in range(table.ndim) if ax not in dims)
+        order = np.argsort(np.argsort(dims))
+        perm = None if list(dims) == sorted(dims) else np.argsort(dims)
+        shape = [table.shape[ax] if ax in dims else 1 for ax in range(table.ndim)]
+        plans.append((other, order, perm, shape, target, np.maximum(target, 1e-12)))
+
+    def margin(other, order) -> np.ndarray:
+        m = table.sum(axis=other)
+        return np.transpose(m, axes=order) if m.ndim > 1 else m
+
     def max_rel_error() -> float:
         err = 0.0
-        for dims, target in specs:
-            cur = _margin(table, dims)
-            denom = np.maximum(target, 1e-12)
+        for other, order, _, _, target, denom in plans:
+            cur = margin(other, order)
             err = max(err, float(np.max(np.abs(cur - target) / denom)))
         return err
 
     it = 0
     err = max_rel_error()
     while err > tol and it < max_iter:
-        for dims, target in specs:
-            cur = _margin(table, dims)
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for other, order, perm, shape, target, _ in plans:
+                cur = margin(other, order)
                 factor = np.where(cur > 0, target / np.maximum(cur, 1e-300), 0.0)
-            # broadcast factor back over the full table
-            shape = [1] * table.ndim
-            for ax_pos, ax in enumerate(dims):
-                shape[ax] = table.shape[ax]
-            # factor axes are in dims order; move them into position
-            f = factor
-            # build an indexable broadcast array
-            expand = f.reshape(
-                [table.shape[ax] if ax in dims else 1 for ax in range(table.ndim)]
-            ) if list(dims) == sorted(dims) else None
-            if expand is None:
-                # permute factor so its axes are ascending before reshape
-                perm = np.argsort(dims)
-                f = np.transpose(f, axes=perm)
-                expand = f.reshape(
-                    [table.shape[ax] if ax in dims else 1 for ax in range(table.ndim)]
-                )
-            table *= expand
+                # factor axes are in dims order; move them into position
+                # and broadcast back over the full table
+                if perm is not None:
+                    factor = np.transpose(factor, axes=perm)
+                table *= factor.reshape(shape)
         it += 1
         err = max_rel_error()
     return IPFResult(table=table, iterations=it, max_error=err, converged=err <= tol)

@@ -19,7 +19,16 @@ __all__ = ["HtmlElement", "el", "render", "parse_html"]
 _VOID_TAGS = frozenset({"br", "hr", "img", "meta", "link", "input"})
 
 _ESCAPES = [("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;")]
-_WS = re.compile(r"\s+")
+
+
+def _normalize_ws(text: str) -> str:
+    """Collapse whitespace runs to one space and strip the ends.
+
+    The same as ``re.sub(r"\\s+", " ", text).strip()``: ``str.split()``
+    and the regex class agree on every code point (both use
+    ``str.isspace``).
+    """
+    return " ".join(text.split())
 
 
 def escape(text: str) -> str:
@@ -61,6 +70,10 @@ class HtmlElement:
 
     def text(self) -> str:
         """Concatenated text of the subtree, whitespace-normalized."""
+        children = self.children
+        if len(children) == 1 and isinstance(children[0], str):
+            # a leaf holding one string: every name, title and id on a page
+            return _normalize_ws(children[0])
         parts: list[str] = []
         stack: list["HtmlElement | str"] = [self]
         while stack:
@@ -69,7 +82,7 @@ class HtmlElement:
                 parts.append(node)
             else:
                 stack.extend(reversed(node.children))
-        return _WS.sub(" ", "".join(parts)).strip()
+        return _normalize_ws("".join(parts))
 
     def iter(self) -> Iterator["HtmlElement"]:
         """Depth-first iteration over element nodes (self included)."""
@@ -148,40 +161,54 @@ def parse_html(text: str) -> HtmlElement:
     """
     root = HtmlElement("#root")
     stack: list[HtmlElement] = [root]
+    children = root.children  # the open element's children
+    # a page repeats few attribute strings (``class="paper-author"``...):
+    # parse each once, and give every element its own dict
+    attr_pairs: dict[str, list[tuple[str, str]]] = {}
     pos = 0
     for m in _TOKEN.finditer(text):
-        if m.start() != pos:
+        start = m.start()
+        if start != pos:
             # stray '<' that matched nothing — treat as text
-            stack[-1].children.append(text[pos : m.start()])
+            children.append(text[pos:start])
         pos = m.end()
-        close_tag, open_tag, attr_text, self_close, raw_text = m.groups()
-        if raw_text is not None:
+        kind = m.lastindex  # 5 text, 4 opening tag, 1 closing tag, None dropped
+        if kind == 5:
             # whitespace-only text *inside* an element is content and
             # must survive a render/parse roundtrip; at document level
             # it is formatting and is dropped
-            if raw_text.strip() or len(stack) > 1:
-                stack[-1].children.append(unescape(raw_text))
-        elif open_tag is not None:
+            raw_text = m.group(5)
+            if len(stack) > 1 or raw_text.strip():
+                children.append(unescape(raw_text))
+        elif kind == 4:
+            open_tag, attr_text, self_close = m.group(2, 3, 4)
             tag = open_tag.lower()
-            attrs = (
-                {k: unescape(v) for k, v in _ATTR.findall(attr_text)} if attr_text else {}
-            )
-            node = HtmlElement(tag, attrs)
-            stack[-1].children.append(node)
+            if attr_text:
+                pairs = attr_pairs.get(attr_text)
+                if pairs is None:
+                    pairs = attr_pairs[attr_text] = [
+                        (k, unescape(v)) for k, v in _ATTR.findall(attr_text)
+                    ]
+                node = HtmlElement(tag, dict(pairs))
+            else:
+                node = HtmlElement(tag, {})
+            children.append(node)
             if not self_close and tag not in _VOID_TAGS:
                 stack.append(node)
-        elif close_tag is not None:
-            name = close_tag.lower()
+                children = node.children
+        elif kind == 1:
+            name = m.group(1).lower()
             if stack[-1].tag == name:  # the well-formed case
                 stack.pop()
-                continue
-            # pop until match; tolerate interleaving by auto-closing
-            names = [n.tag for n in stack[1:]]
-            if name not in names:
-                raise HtmlParseError(f"unmatched closing tag </{name}>")
-            while stack[-1].tag != name:
+            else:
+                # pop until match; tolerate interleaving by auto-closing
+                names = [n.tag for n in stack[1:]]
+                if name not in names:
+                    raise HtmlParseError(f"unmatched closing tag </{name}>")
+                while stack[-1].tag != name:
+                    stack.pop()
                 stack.pop()
-            stack.pop()
+            children = stack[-1].children
     if pos != len(text) and text[pos:].strip():
-        stack[-1].children.append(text[pos:])
+        children.append(text[pos:])
     return root

@@ -100,6 +100,30 @@ def _role_items(root) -> dict[str, list]:
     return buckets
 
 
+def _paper_fields(node) -> tuple[str, str, tuple[str, ...]]:
+    """A paper node's title, id and raw author spellings, in one walk.
+
+    The same values as ``_first_text(node, "paper-title") or ""``, the
+    same for ``"paper-id"``, and the texts of
+    ``node.find_all(tag="li", cls="paper-author")``: each query's matches
+    come in the walk's depth-first order, so one walk serves all three.
+    """
+    title = pid = None
+    raw_names = []
+    for n in node.iter():
+        value = n.attrs.get("class")
+        if value is None:
+            continue
+        classes = value.split()
+        if title is None and "paper-title" in classes:
+            title = n.text()
+        if pid is None and "paper-id" in classes:
+            pid = n.text()
+        if n.tag == "li" and "paper-author" in classes:
+            raw_names.append(n.text())
+    return title or "", pid or "", tuple(raw_names)
+
+
 def _email_between_brackets(line: str) -> str | None:
     """The address in a ``Name <addr>`` contact line, if well-formed.
 
@@ -146,11 +170,9 @@ def scrape_site(
     papers_root = _safe_parse(site.papers_html)
     by_id = {r.paper_id: r for r in (proceedings or [])}
     for node in papers_root.find_all(cls="paper"):
-        title = _first_text(node, "paper-title") or ""
-        pid = _first_text(node, "paper-id") or ""
         # raw spellings match the proceedings header lines; the cleaned
         # spellings are what downstream identity resolution keys on
-        raw_names = tuple(a.text() for a in node.find_all(tag="li", cls="paper-author"))
+        title, pid, raw_names = _paper_fields(node)
         names = tuple(clean_person_name(n) for n in raw_names)
         rec = by_id.get(pid)
         emails: tuple[str | None, ...]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.confmodel.registry import WorldRegistry
 from repro.confmodel.roles import Role
-from repro.harvest.html import HtmlElement, el, render
+from repro.harvest.html import escape
 
 __all__ = ["ConferenceSite", "generate_site"]
 
@@ -38,17 +38,28 @@ class ConferenceSite:
     papers_html: str
 
 
-def _page(title: str, *body: HtmlElement) -> str:
-    doc = el(
-        "html",
-        el("head", el("title", title)),
-        el("body", el("h1", title), *body),
+# The pages are emitted as text in one pass: the markup below is exactly
+# what ``render`` gives for the equivalent ``el`` tree (the class names are
+# constants with nothing to escape), without building a ~25k-node tree per
+# edition and walking it back.  ``tests/test_fast_path_equivalence.py``
+# holds the tree-building body as the oracle.
+
+
+def _page(title: str, *body: str) -> str:
+    t = escape(title)
+    return (
+        f"<html><head><title>{t}</title></head><body><h1>{t}</h1>"
+        f"{''.join(body)}</body></html>"
     )
-    return render(doc)
 
 
-def _name_list(cls: str, names: list[str]) -> HtmlElement:
-    return el("ul", *[el("li", n, cls=cls) for n in names], cls=f"{cls}-list")
+def _tag(tag: str, cls: str, text: str) -> str:
+    return f'<{tag} class="{cls}">{escape(text)}</{tag}>'
+
+
+def _name_list(cls: str, names: list[str]) -> str:
+    items = "".join([f'<li class="{cls}">{escape(n)}</li>' for n in names])
+    return f'<ul class="{cls}-list">{items}</ul>'
 
 
 def generate_site(registry: WorldRegistry, conference: str, year: int) -> ConferenceSite:
@@ -70,62 +81,57 @@ def generate_site(registry: WorldRegistry, conference: str, year: int) -> Confer
         policies.append("Demographic reporting")
     index = _page(
         f"{conference} {year}",
-        el("p", edition.date, cls="conf-date"),
-        el("p", conf.country_code, cls="conf-country"),
-        el("p", f"{edition.accepted}", cls="conf-accepted"),
-        el("p", f"{edition.submitted}", cls="conf-submitted"),
-        el("p", conf.review_policy.value, cls="conf-review-policy"),
-        el(
-            "div",
-            *[el("span", p, cls="diversity-policy") for p in policies],
-            cls="diversity-policies",
-        ),
+        _tag("p", "conf-date", edition.date),
+        _tag("p", "conf-country", conf.country_code),
+        _tag("p", "conf-accepted", f"{edition.accepted}"),
+        _tag("p", "conf-submitted", f"{edition.submitted}"),
+        _tag("p", "conf-review-policy", conf.review_policy.value),
+        '<div class="diversity-policies">',
+        *[_tag("span", "diversity-policy", p) for p in policies],
+        "</div>",
     )
 
     # ---- committees --------------------------------------------------------
-    def names_for(role: Role) -> list[str]:
-        return [
-            registry.people[r.person_id].full_name
-            for r in registry.roles_of(conference, year, role)
-        ]
+    # one pass over the edition's roles, bucketed by role in registry
+    # order: the lists ``registry.roles_of(conference, year, role)`` gives
+    names_by_role: dict[Role, list[str]] = {r: [] for r in Role}
+    people = registry.people
+    for r in registry.roles:
+        if r.conference == conference and r.year == year:
+            names_by_role[r.role].append(people[r.person_id].full_name)
 
     committees = _page(
         f"{conference} {year} Committees",
-        el("h2", "Program Committee Chairs"),
-        _name_list("pc-chair", names_for(Role.PC_CHAIR)),
-        el("h2", "Program Committee"),
-        _name_list("pc-member", names_for(Role.PC_MEMBER)),
+        "<h2>Program Committee Chairs</h2>",
+        _name_list("pc-chair", names_by_role[Role.PC_CHAIR]),
+        "<h2>Program Committee</h2>",
+        _name_list("pc-member", names_by_role[Role.PC_MEMBER]),
     )
 
     # ---- program -------------------------------------------------------------
     program = _page(
         f"{conference} {year} Program",
-        el("h2", "Keynote Speakers"),
-        _name_list("keynote", names_for(Role.KEYNOTE)),
-        el("h2", "Panelists"),
-        _name_list("panelist", names_for(Role.PANELIST)),
-        el("h2", "Session Chairs"),
-        _name_list("session-chair", names_for(Role.SESSION_CHAIR)),
+        "<h2>Keynote Speakers</h2>",
+        _name_list("keynote", names_by_role[Role.KEYNOTE]),
+        "<h2>Panelists</h2>",
+        _name_list("panelist", names_by_role[Role.PANELIST]),
+        "<h2>Session Chairs</h2>",
+        _name_list("session-chair", names_by_role[Role.SESSION_CHAIR]),
     )
 
     # ---- papers ----------------------------------------------------------------
     items = []
     for paper in registry.papers_of(conference, year):
-        authors = [
-            registry.people[a.person_id].full_name for a in paper.authorships
-        ]
+        authors = "".join(
+            [
+                f'<li class="paper-author">{escape(people[a.person_id].full_name)}</li>'
+                for a in paper.authorships
+            ]
+        )
         items.append(
-            el(
-                "div",
-                el("span", paper.title, cls="paper-title"),
-                el("span", paper.paper_id, cls="paper-id"),
-                el(
-                    "ol",
-                    *[el("li", n, cls="paper-author") for n in authors],
-                    cls="paper-authors",
-                ),
-                cls="paper",
-            )
+            f'<div class="paper">{_tag("span", "paper-title", paper.title)}'
+            f'{_tag("span", "paper-id", paper.paper_id)}'
+            f'<ol class="paper-authors">{authors}</ol></div>'
         )
     papers = _page(f"{conference} {year} Accepted Papers", *items)
 

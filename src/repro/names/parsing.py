@@ -12,7 +12,6 @@ import unicodedata
 
 __all__ = ["clean_person_name", "forename_of", "normalize_name", "name_key", "cached_name_key"]
 
-_WS = re.compile(r"\s+")
 _INITIAL = re.compile(r"^[A-Za-z]\.?$")
 
 # Invisible/format characters that survive ``\s`` collapsing: zero-width
@@ -23,7 +22,9 @@ _ZERO_WIDTH = re.compile("[\u200b\u200c\u200d\u2060\ufeff\u00ad]")
 
 def normalize_name(name: str) -> str:
     """Collapse whitespace and strip; preserves case and diacritics."""
-    return _WS.sub(" ", name).strip()
+    # split/join is ``re.sub(r"\s+", " ", name).strip()``: ``\s`` and
+    # ``str.split()`` agree on every code point (``str.isspace``)
+    return " ".join(name.split())
 
 
 def clean_person_name(name: str) -> str:
@@ -34,7 +35,9 @@ def clean_person_name(name: str) -> str:
     internal runs — so "Ada  Lovelace" and "Ada Lovelace" key to
     the same researcher instead of splitting into two.
     """
-    return normalize_name(_ZERO_WIDTH.sub("", name))
+    if not name.isascii():  # every character _ZERO_WIDTH removes is non-ASCII
+        name = _ZERO_WIDTH.sub("", name)
+    return normalize_name(name)
 
 
 def forename_of(full_name: str) -> str | None:

@@ -33,6 +33,15 @@ from repro.tabular import Table
 __all__ = ["AnalysisDataset"]
 
 
+def _table(columns: dict[str, list]) -> Table:
+    """The table of these columns; with no rows, no columns either.
+
+    That is what ``Table.from_records`` gives for an empty row list,
+    which a harvest that lost a page produces.
+    """
+    return Table(columns) if next(iter(columns.values())) else Table()
+
+
 def _gender_str(a: GenderAssignment | None) -> str | None:
     if a is None or not a.known:
         return None
@@ -60,142 +69,147 @@ class AnalysisDataset:
         enrichment: dict[str, Enrichment],
         assignments: dict[str, GenderAssignment],
     ) -> "AnalysisDataset":
+        # Every table is built column by column: the same per-column value
+        # lists ``Table.from_records`` would transpose out of row dicts, so
+        # the same kinds and values, without a dict per row.
         gender = {rid: _gender_str(assignments.get(rid)) for rid in linked.researchers}
 
         # ---- researchers ---------------------------------------------------
-        rows = []
-        for rid, rec in linked.researchers.items():
-            e = enrichment.get(rid)
-            a = assignments.get(rid)
-            rows.append(
-                {
-                    "researcher_id": rid,
-                    "full_name": rec.full_name,
-                    "gender": gender[rid],
-                    "gender_method": (a.method.value if a else "none"),
-                    "country": e.country_code if e else None,
-                    "region": e.region if e else None,
-                    "sector": e.sector if e else None,
-                    "is_author": rec.is_author,
-                    "is_pc": rec.is_pc_member,
-                    "gs_pubs": e.gs_publications if e else None,
-                    "gs_h": e.gs_h_index if e else None,
-                    "gs_i10": e.gs_i10 if e else None,
-                    "gs_citations": e.gs_citations if e else None,
-                    "s2_pubs": e.s2_publications if e else None,
-                    "has_gs": bool(e and e.has_gs),
-                }
-            )
-        researchers = Table.from_records(rows)
+        rids = list(linked.researchers)
+        recs = list(linked.researchers.values())
+        es = [enrichment.get(rid) for rid in rids]
+        researchers = _table(
+            {
+                "researcher_id": rids,
+                "full_name": [rec.full_name for rec in recs],
+                "gender": [gender[rid] for rid in rids],
+                "gender_method": [
+                    a.method.value if a else "none"
+                    for a in (assignments.get(rid) for rid in rids)
+                ],
+                "country": [e.country_code if e else None for e in es],
+                "region": [e.region if e else None for e in es],
+                "sector": [e.sector if e else None for e in es],
+                "is_author": [rec.is_author for rec in recs],
+                "is_pc": [rec.is_pc_member for rec in recs],
+                "gs_pubs": [e.gs_publications if e else None for e in es],
+                "gs_h": [e.gs_h_index if e else None for e in es],
+                "gs_i10": [e.gs_i10 if e else None for e in es],
+                "gs_citations": [e.gs_citations if e else None for e in es],
+                "s2_pubs": [e.s2_publications if e else None for e in es],
+                "has_gs": [bool(e and e.has_gs) for e in es],
+            }
+        )
 
         # ---- author positions ------------------------------------------------
-        pos_rows = []
-        conf_author_pairs: dict[tuple[str, str], dict] = {}
+        pos_paper: list = []
+        pos_conf: list = []
+        pos_year: list = []
+        pos_rid: list = []
+        pos_k: list = []
+        pos_first: list = []
+        pos_last: list = []
+        first_year: dict[tuple[str, str], int] = {}  # (conference, rid) -> year
         for paper in linked.papers:
-            n = len(paper.author_ids)
-            for k, rid in enumerate(paper.author_ids):
-                pos_rows.append(
-                    {
-                        "paper_id": paper.paper_id,
-                        "conference": paper.conference,
-                        "year": paper.year,
-                        "researcher_id": rid,
-                        "position": k,
-                        "is_first": k == 0,
-                        "is_last": n > 1 and k == n - 1,
-                        "gender": gender.get(rid),
-                    }
-                )
-                key = (paper.conference, rid)
-                if key not in conf_author_pairs:
-                    e = enrichment.get(rid)
-                    conf_author_pairs[key] = {
-                        "conference": paper.conference,
-                        "year": paper.year,
-                        "researcher_id": rid,
-                        "gender": gender.get(rid),
-                        "country": e.country_code if e else None,
-                        "region": e.region if e else None,
-                        "sector": e.sector if e else None,
-                    }
-        author_positions = Table.from_records(pos_rows)
-        conf_authors = Table.from_records(list(conf_author_pairs.values()))
+            ids = paper.author_ids
+            n = len(ids)
+            pos_paper += [paper.paper_id] * n
+            pos_conf += [paper.conference] * n
+            pos_year += [paper.year] * n
+            pos_rid += ids
+            pos_k += range(n)
+            pos_first += [k == 0 for k in range(n)]
+            pos_last += [n > 1 and k == n - 1 for k in range(n)]
+            for rid in ids:
+                first_year.setdefault((paper.conference, rid), paper.year)
+        author_positions = _table(
+            {
+                "paper_id": pos_paper,
+                "conference": pos_conf,
+                "year": pos_year,
+                "researcher_id": pos_rid,
+                "position": pos_k,
+                "is_first": pos_first,
+                "is_last": pos_last,
+                "gender": [gender.get(rid) for rid in pos_rid],
+            }
+        )
+        ca_rids = [rid for _, rid in first_year]
+        ca_es = [enrichment.get(rid) for rid in ca_rids]
+        conf_authors = _table(
+            {
+                "conference": [conf for conf, _ in first_year],
+                "year": list(first_year.values()),
+                "researcher_id": ca_rids,
+                "gender": [gender.get(rid) for rid in ca_rids],
+                "country": [e.country_code if e else None for e in ca_es],
+                "region": [e.region if e else None for e in ca_es],
+                "sector": [e.sector if e else None for e in ca_es],
+            }
+        )
 
         # ---- papers ------------------------------------------------------------
-        paper_rows = []
-        for paper in linked.papers:
-            first = paper.author_ids[0] if paper.author_ids else None
-            last = paper.author_ids[-1] if len(paper.author_ids) > 1 else None
-            cites = paper.citations_36mo
-            paper_rows.append(
-                {
-                    "paper_id": paper.paper_id,
-                    "conference": paper.conference,
-                    "year": paper.year,
-                    "num_authors": len(paper.author_ids),
-                    "first_author": first,
-                    "last_author": last,
-                    "first_gender": gender.get(first) if first else None,
-                    "last_gender": gender.get(last) if last else None,
-                    "citations_36mo": cites,
-                    "reaches_i10": (cites >= 10) if cites is not None else None,
-                    "is_hpc": paper.is_hpc_topic,
-                }
-            )
-        papers = Table.from_records(paper_rows)
+        lps = linked.papers
+        firsts = [p.author_ids[0] if p.author_ids else None for p in lps]
+        lasts = [p.author_ids[-1] if len(p.author_ids) > 1 else None for p in lps]
+        cites = [p.citations_36mo for p in lps]
+        papers = _table(
+            {
+                "paper_id": [p.paper_id for p in lps],
+                "conference": [p.conference for p in lps],
+                "year": [p.year for p in lps],
+                "num_authors": [len(p.author_ids) for p in lps],
+                "first_author": firsts,
+                "last_author": lasts,
+                "first_gender": [gender.get(r) if r else None for r in firsts],
+                "last_gender": [gender.get(r) if r else None for r in lasts],
+                "citations_36mo": cites,
+                "reaches_i10": [(c >= 10) if c is not None else None for c in cites],
+                "is_hpc": [p.is_hpc_topic for p in lps],
+            }
+        )
 
         # ---- conferences -------------------------------------------------------
-        conf_rows = []
-        for conf in linked.conferences:
-            conf_rows.append(
-                {
-                    "conference": conf.conference,
-                    "year": conf.year,
-                    "date": conf.date,
-                    "country": conf.country,
-                    "accepted": conf.accepted,
-                    "submitted": conf.submitted,
-                    "acceptance_rate": conf.acceptance_rate,
-                    "double_blind": conf.review_policy == "double",
-                    "diversity_chair": any(
-                        "Chair" in p for p in conf.diversity_policies
-                    ),
-                    "code_of_conduct": any(
-                        "Conduct" in p for p in conf.diversity_policies
-                    ),
-                    "childcare": any("childcare" in p for p in conf.diversity_policies),
-                    "demographic_reporting": any(
-                        "Demographic" in p for p in conf.diversity_policies
-                    ),
-                }
-            )
-        conferences = Table.from_records(conf_rows)
+        confs = linked.conferences
+        pols = [c.diversity_policies for c in confs]
+        conferences = _table(
+            {
+                "conference": [c.conference for c in confs],
+                "year": [c.year for c in confs],
+                "date": [c.date for c in confs],
+                "country": [c.country for c in confs],
+                "accepted": [c.accepted for c in confs],
+                "submitted": [c.submitted for c in confs],
+                "acceptance_rate": [c.acceptance_rate for c in confs],
+                "double_blind": [c.review_policy == "double" for c in confs],
+                "diversity_chair": [any("Chair" in p for p in ps) for ps in pols],
+                "code_of_conduct": [any("Conduct" in p for p in ps) for ps in pols],
+                "childcare": [any("childcare" in p for p in ps) for ps in pols],
+                "demographic_reporting": [
+                    any("Demographic" in p for p in ps) for ps in pols
+                ],
+            }
+        )
 
         # ---- role slots (non-author seats, repeats included) ----------------
-        slot_rows = []
-        for rid, rec in linked.researchers.items():
-            e = enrichment.get(rid)
-            for conf_name, year, role in rec.roles:
-                if role is Role.AUTHOR:
-                    continue
-                slot_rows.append(
-                    {
-                        "researcher_id": rid,
-                        "conference": conf_name,
-                        "year": year,
-                        "role": role.value,
-                        "gender": gender[rid],
-                        "country": e.country_code if e else None,
-                        "region": e.region if e else None,
-                        "sector": e.sector if e else None,
-                    }
-                )
-        role_slots = Table.from_records(
-            slot_rows,
-            columns=[
-                "researcher_id", "conference", "year", "role",
-                "gender", "country", "region", "sector",
-            ],
+        slots = [
+            (rid, e, conf_name, year, role)
+            for rid, rec, e in zip(rids, recs, es)
+            for conf_name, year, role in rec.roles
+            if role is not Role.AUTHOR
+        ]
+        # the columns exist even when there are no seats
+        role_slots = Table(
+            {
+                "researcher_id": [s[0] for s in slots],
+                "conference": [s[2] for s in slots],
+                "year": [s[3] for s in slots],
+                "role": [s[4].value for s in slots],
+                "gender": [gender[s[0]] for s in slots],
+                "country": [s[1].country_code if s[1] else None for s in slots],
+                "region": [s[1].region if s[1] else None for s in slots],
+                "sector": [s[1].sector if s[1] else None for s in slots],
+            }
         )
 
         return cls(
@@ -218,20 +232,27 @@ class AnalysisDataset:
         Used by the §2 sensitivity analysis (force unknowns to F, then M)
         — everything except the gender columns is reused as-is.
         """
-        gender = {
-            rid: _gender_str(assignments.get(rid))
-            for rid in self.researchers["researcher_id"]
-        }
+        ids = self.researchers["researcher_id"]
+        # assignments are shared immutable values (a few hundred distinct
+        # objects for tens of thousands of researchers): render each once
+        rendered: dict[int, tuple[str | None, str]] = {}
+        genders: list[str | None] = []
+        methods: list[str] = []
+        for rid in ids:
+            a = assignments.get(rid)
+            cells = rendered.get(id(a))
+            if cells is None:
+                method = a.method.value if a is not None else "none"
+                cells = rendered[id(a)] = (_gender_str(a), method)
+            genders.append(cells[0])
+            methods.append(cells[1])
+        gender = dict(zip(ids, genders))
 
         def regender(table: Table, id_col: str, out_col: str) -> Table:
             vals = [gender.get(rid) for rid in table[id_col]]
             return table.with_column(out_col, vals)
 
-        researchers = regender(self.researchers, "researcher_id", "gender")
-        methods = [
-            assignments[rid].method.value if rid in assignments else "none"
-            for rid in self.researchers["researcher_id"]
-        ]
+        researchers = self.researchers.with_column("gender", genders)
         researchers = researchers.with_column("gender_method", methods)
         author_positions = regender(self.author_positions, "researcher_id", "gender")
         conf_authors = regender(self.conf_authors, "researcher_id", "gender")

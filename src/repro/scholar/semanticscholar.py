@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.names.parsing import cached_name_key
+
 __all__ = ["S2Record", "SemanticScholarStore"]
 
 
@@ -38,8 +40,6 @@ class SemanticScholarStore:
         self._by_name: dict[str, list[str]] = {}
 
     def put(self, person_id: str, record: S2Record) -> None:
-        from repro.names.parsing import cached_name_key
-
         if person_id not in self._records:
             key = cached_name_key(record.display_name)
             self._by_name.setdefault(key, []).append(person_id)
@@ -47,8 +47,6 @@ class SemanticScholarStore:
 
     def search_name(self, full_name: str) -> list[S2Record]:
         """All records matching a display name (S2's author search)."""
-        from repro.names.parsing import cached_name_key
-
         ids = self._by_name.get(cached_name_key(full_name), [])
         return [self._records[i] for i in ids]
 

@@ -21,11 +21,11 @@ which the property tests assert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from repro.scholar.metrics import h_index as compute_h
 from repro.util.rng import Categorical
 
 __all__ = ["BAND_SHARES", "CareerModel", "Career"]
@@ -61,12 +61,20 @@ _BAND_DRAWS = {key: Categorical(shares) for key, shares in BAND_SHARES.items()}
 
 @dataclass(frozen=True)
 class Career:
-    """One researcher's pre-2017 track record."""
+    """One researcher's pre-2017 track record.
+
+    ``vector`` is the career citation vector as built (int64, length
+    ``past_publications``); ``citations`` and ``i10`` are its sum and its
+    count of entries >= 10, taken once here so consumers never rebuild
+    and re-validate the vector.
+    """
 
     band: str
     h_index: int
     past_publications: int
-    citation_vector: tuple[int, ...]
+    vector: np.ndarray = field(repr=False, compare=False)
+    citations: int
+    i10: int
 
 
 class CareerModel:
@@ -103,11 +111,40 @@ class CareerModel:
         raise ValueError(f"unknown band {band!r}")
 
     def draw_career(self, role_kind: str, gender: str) -> Career:
-        band = self.draw_band(role_kind, gender)
-        h = self.draw_h(band)
-        pubs = self._pubs_for_h(h)
-        vector = self._citation_vector(h, pubs)
-        return Career(band, h, pubs, tuple(vector.tolist()))
+        return self.draw_careers([(role_kind, gender)])[0]
+
+    def draw_careers(self, people: Sequence[tuple[str, str]]) -> list[Career]:
+        """Careers for ``(role_kind, gender)`` pairs, in order.
+
+        Each person's draws (band, h, publications, then the citation
+        overshoots and the rest) are made in turn, exactly as one
+        ``draw_career`` call per person makes them.  Only the arithmetic
+        that turns the drawn arrays into citation vectors, and the h
+        check, runs once over all of them (:func:`_assemble`).
+        """
+        r = self._rng
+        bands: list[str] = []
+        hs: list[int] = []
+        pubs: list[int] = []
+        tops: list[np.ndarray] = []   # per person with h > 0
+        rests: list[np.ndarray] = []  # per person with h > 0 and more papers
+        for role_kind, gender in people:
+            band = self.draw_band(role_kind, gender)
+            h = self.draw_h(band)
+            n = self._pubs_for_h(h)
+            bands.append(band)
+            hs.append(h)
+            pubs.append(n)
+            if h == 0:
+                continue  # every paper strictly below 1 citation: all zeros
+            # Top h papers: h + overshoot, decaying. Overshoot gives the
+            # heavy right tail seen in Figs. 3-4.
+            tops.append(r.geometric(p=0.08, size=h))
+            if n > h:
+                # Strictly below h citations each, skewed toward 0, and
+                # below h so they cannot raise the index. Cap also at h-1.
+                rests.append(r.geometric(p=max(0.15, 2.0 / (h + 2)), size=n - h))
+        return _assemble(bands, hs, pubs, tops, rests)
 
     # -------------------------------------------------------- construction
 
@@ -123,32 +160,75 @@ class CareerModel:
         mult = 2.0 + r.lognormal(mean=0.0, sigma=0.45)
         return max(h, int(round(h * mult)))
 
-    def _citation_vector(self, h: int, pubs: int) -> np.ndarray:
-        """A citation vector of length ``pubs`` with Hirsch index exactly h."""
-        r = self._rng
-        if pubs == 0:
-            return np.zeros(0, dtype=np.int64)
-        if h == 0:
-            # every paper strictly below 1 citation is impossible to get
-            # wrong: all zeros
-            return np.zeros(pubs, dtype=np.int64)
-        # Top h papers: h + overshoot, decaying. Overshoot gives the heavy
-        # right tail seen in Figs. 3-4.
-        overshoot = r.geometric(p=0.08, size=h)
-        overshoot.sort()
-        top = overshoot[::-1] + h
-        rest_n = pubs - h
-        if rest_n > 0:
-            # Strictly below h citations each, skewed toward 0, and below
-            # h so they cannot raise the index. Cap also at h-1.
-            rest = r.geometric(p=max(0.15, 2.0 / (h + 2)), size=rest_n)
-            rest -= 1
-            np.minimum(rest, h - 1, out=rest)
-            vec = np.concatenate([top, rest])
-        else:
-            vec = top
-        assert compute_h(vec) == h, (h, pubs, vec[:10])
-        return vec
+
+def _segment_sums(values: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sums of back-to-back segments of ``values`` (empty segments sum to 0)."""
+    totals = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+    return totals[ends] - totals[ends - lengths]
+
+
+def has_h_index(flat: np.ndarray, lengths: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per vector, whether its Hirsch index is ``h``: one O(n) pass, no sort.
+
+    ``flat`` holds the vectors back to back (vector i has ``lengths[i]``
+    entries).  h is a vector's index exactly when at least h entries
+    reach h (so the index is at least h) and at most h exceed it (so
+    h + 1 entries cannot reach h + 1).
+    """
+    ends = np.cumsum(lengths)
+    per_entry = np.repeat(h, lengths)
+    reach = _segment_sums(flat >= per_entry, ends, lengths)
+    exceed = _segment_sums(flat > per_entry, ends, lengths)
+    return (reach >= h) & (exceed <= h)
+
+
+def _ranks(sizes: np.ndarray) -> np.ndarray:
+    """Each entry's position within its segment, for back-to-back segments."""
+    return np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _assemble(
+    bands: list[str],
+    hs: list[int],
+    pubs: list[int],
+    tops: list[np.ndarray],
+    rests: list[np.ndarray],
+) -> list[Career]:
+    """Build every career's citation vector from its draws, in one pass.
+
+    A vector is its h overshoots in descending order plus h, then its
+    other papers' draws minus one, capped at h - 1 (all zeros when h is
+    0): element for element what building each vector on its own gives.
+    """
+    h = np.array(hs, dtype=np.int64)
+    lengths = np.array(pubs, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    flat = np.zeros(int(lengths.sum()), dtype=np.int64)
+    if tops:
+        drawn = np.flatnonzero(h > 0)
+        n_top = h[drawn]
+        owner = np.repeat(drawn, n_top)
+        overshoot = np.concatenate(tops)
+        # descending within each person; equal values are interchangeable
+        order = np.lexsort((-overshoot, owner))
+        flat[starts[owner] + _ranks(n_top)] = overshoot[order] + h[owner]
+        if rests:  # drawn only for people with h > 0
+            n_rest = lengths[drawn] - n_top
+            with_rest = drawn[n_rest > 0]
+            n_rest = n_rest[n_rest > 0]
+            owner = np.repeat(with_rest, n_rest)
+            slots = starts[owner] + h[owner] + _ranks(n_rest)
+            flat[slots] = np.minimum(np.concatenate(rests) - 1, h[owner] - 1)
+    ok = has_h_index(flat, lengths, h)
+    assert ok.all(), [(hs[i], pubs[i]) for i in np.flatnonzero(~ok)[:3]]
+    citations = _segment_sums(flat, ends, lengths).tolist()
+    i10 = _segment_sums(flat >= 10, ends, lengths).tolist()
+    vectors = np.split(flat, ends[:-1])
+    return [
+        Career(band, hh, n, vec, c, t)
+        for band, hh, n, vec, c, t in zip(bands, hs, pubs, vectors, citations, i10)
+    ]
 
 
 def gs_reported_publications(true_pubs: int, rng: np.random.Generator) -> int:

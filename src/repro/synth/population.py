@@ -18,6 +18,7 @@ evidence quotas set so the inference cascade reproduces the paper's
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,6 +129,76 @@ def _region_countries() -> dict[str, list[str]]:
     return by_region
 
 
+@dataclass(frozen=True)
+class _RegionCountries:
+    """One region's rng-free country inputs for one role's allocation."""
+
+    listed: list[str]            # countries with Table 2/Fig. 7 targets
+    unlisted: list[str]          # the region's other embedded countries
+    listed_w: np.ndarray         # the listed countries' combined totals
+    listed_pct_w: list[float]    # their published female shares
+    adj: float                   # region role share / region combined share
+
+
+@dataclass(frozen=True)
+class _RoleTables:
+    """The inputs of ``_country_gender_cells`` that depend only on the
+    role, not on the pool: built on first use, once per role."""
+
+    region_totals: np.ndarray
+    region_pct_w: np.ndarray
+    identified_share: float
+    regions: tuple[_RegionCountries, ...]  # aligned with REGION_ROLE_TARGETS
+
+
+@functools.cache
+def _role_tables(role: str) -> _RoleTables:
+    regions = REGION_ROLE_TARGETS
+    if role == "author":
+        region_totals = np.array([r.author_total for r in regions], dtype=float)
+        region_pct_w = np.array([r.author_pct_women for r in regions]) / 100.0
+    else:
+        region_totals = np.array([r.pc_total for r in regions], dtype=float)
+        region_pct_w = np.array([r.pc_pct_women for r in regions]) / 100.0
+    identified_share = float(region_totals.sum()) / (
+        TOTALS["author_positions"] if role == "author" else TOTALS["pc_memberships"]
+    )
+
+    by_region = _region_countries()
+    country_weight = {t.cca2: float(t.total) for t in COUNTRY_TARGETS}
+    country_pct_w = {t.cca2: t.pct_women / 100.0 for t in COUNTRY_TARGETS}
+
+    # Table 2's country shares combine authors + PC seats; within a
+    # region the role-specific share differs (e.g. Eastern Asia: 11.9%
+    # women among authors but 2.9% among PC).  Rescale each country's
+    # combined share by (region role share / region combined share) to
+    # get role-consistent seeds.
+    per_region = []
+    for r in regions:
+        tot = r.author_total + r.pc_total
+        wom = r.author_pct_women / 100.0 * r.author_total + (
+            r.pc_pct_women / 100.0 * r.pc_total
+        )
+        combined = wom / tot if tot else 0.0
+        role_pct = (r.author_pct_women if role == "author" else r.pc_pct_women) / 100.0
+        codes = by_region.get(r.region, [])
+        listed = [c for c in codes if c in country_weight]
+        listed_w = np.array([country_weight[c] for c in listed], dtype=float)
+        listed_w.setflags(write=False)
+        per_region.append(
+            _RegionCountries(
+                listed=listed,
+                unlisted=[c for c in codes if c not in country_weight],
+                listed_w=listed_w,
+                listed_pct_w=[country_pct_w[c] for c in listed],
+                adj=role_pct / combined if combined > 0 else 1.0,
+            )
+        )
+    for arr in (region_totals, region_pct_w):
+        arr.setflags(write=False)
+    return _RoleTables(region_totals, region_pct_w, identified_share, tuple(per_region))
+
+
 class PopulationBuilder:
     """Builds the calibrated population for one world."""
 
@@ -164,25 +235,15 @@ class PopulationBuilder:
         region's women count is spread over countries in proportion to
         their published female shares (two-way allocation).
         """
-        regions = REGION_ROLE_TARGETS
-        if role == "author":
-            region_totals = np.array([r.author_total for r in regions], dtype=float)
-            region_pct_w = np.array([r.author_pct_women for r in regions]) / 100.0
-        elif role == "pc":
-            region_totals = np.array([r.pc_total for r in regions], dtype=float)
-            region_pct_w = np.array([r.pc_pct_women for r in regions]) / 100.0
-        else:
+        if role not in ("author", "pc"):
             raise ValueError(f"unknown role {role!r}")
-
-        identified_share = float(region_totals.sum()) / (
-            TOTALS["author_positions"] if role == "author" else TOTALS["pc_memberships"]
-        )
-        n_identified = int(round(pool_size * identified_share))
+        tables = _role_tables(role)
+        n_identified = int(round(pool_size * tables.identified_share))
         n_unknown = pool_size - n_identified
 
-        region_counts = allocate_counts(region_totals, n_identified)
+        region_counts = allocate_counts(tables.region_totals, n_identified)
         region_women = np.minimum(
-            np.round(region_counts * region_pct_w).astype(np.int64), region_counts
+            np.round(region_counts * tables.region_pct_w).astype(np.int64), region_counts
         )
         # Reconcile with the pool's total women target: adjust the largest
         # regions first so no region flips sign.
@@ -202,41 +263,22 @@ class PopulationBuilder:
                 diff += 1
             i += 1
 
-        by_region = _region_countries()
-        country_weight = {t.cca2: float(t.total) for t in COUNTRY_TARGETS}
-        country_pct_w = {t.cca2: t.pct_women / 100.0 for t in COUNTRY_TARGETS}
-
-        # Table 2's country shares combine authors + PC seats; within a
-        # region the role-specific share differs (e.g. Eastern Asia: 11.9%
-        # women among authors but 2.9% among PC).  Rescale each country's
-        # combined share by (region role share / region combined share) to
-        # get role-consistent seeds.
-        region_combined: dict[str, float] = {}
-        for r in regions:
-            tot = r.author_total + r.pc_total
-            wom = r.author_pct_women / 100.0 * r.author_total + (
-                r.pc_pct_women / 100.0 * r.pc_total
-            )
-            region_combined[r.region] = wom / tot if tot else 0.0
-
         cells: list[tuple[str | None, str, int]] = []
-        for r_idx, region in enumerate(regions):
+        for r_idx, region in enumerate(tables.regions):
             total = int(region_counts[r_idx])
             women = int(region_women[r_idx])
             if total == 0:
                 continue
-            codes = by_region.get(region.region, [])
-            if not codes:
+            listed, unlisted = region.listed, region.unlisted
+            if not listed and not unlisted:
                 cells.append((None, "F", women))
                 cells.append((None, "M", total - women))
                 continue
-            listed = [c for c in codes if c in country_weight]
-            unlisted = [c for c in codes if c not in country_weight]
             # Listed countries receive counts proportional to their Table 2
             # totals but capped so that any excess region mass spills into
             # the region's unlisted countries instead of inflating the
             # published ones.
-            listed_w = np.array([country_weight[c] for c in listed], dtype=float)
+            listed_w = region.listed_w
             listed_total_target = float(listed_w.sum())
             counts = np.zeros(len(listed) + len(unlisted), dtype=np.int64)
             if listed_total_target > 0 and total > 0:
@@ -260,15 +302,11 @@ class PopulationBuilder:
                         np.maximum(listed_w, 1.0), spill
                     ) if len(listed) else 0
             all_codes = listed + unlisted
-            # role-consistent per-country women seeds
-            role_pct = (
-                region.author_pct_women if role == "author" else region.pc_pct_women
-            ) / 100.0
-            combined = region_combined[region.region]
-            adj = role_pct / combined if combined > 0 else 1.0
+            # role-consistent per-country women seeds; unlisted countries
+            # take the region's own share
             base = women / total if total else 0.0
             shares = np.clip(
-                np.array([country_pct_w.get(c, base) for c in all_codes]) * adj,
+                np.array(region.listed_pct_w + [base] * len(unlisted)) * region.adj,
                 0.005,
                 0.95,
             )

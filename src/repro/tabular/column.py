@@ -127,7 +127,8 @@ class Column:
         if self.kind == "float":
             return np.isnan(self.values)
         if self.kind == "str":
-            return np.array([v is None for v in self.values], dtype=bool)
+            # elementwise ``v == None`` in C; a bool array even when empty
+            return np.equal(self.values, None)
         return np.zeros(len(self), dtype=bool)
 
     def unique(self) -> list:

@@ -60,20 +60,20 @@ class TestCareerConstruction:
         """The headline invariant: generated vectors realize the target h."""
         for _ in range(200):
             career = model.draw_career("author", "M")
-            assert h_index(np.array(career.citation_vector)) == career.h_index
+            assert h_index(career.vector) == career.h_index
 
     def test_pubs_at_least_h(self, model):
         for _ in range(100):
             c = model.draw_career("pc", "F")
             assert c.past_publications >= c.h_index
-            assert len(c.citation_vector) == c.past_publications
+            assert len(c.vector) == c.past_publications
 
     def test_zero_h_all_zero_citations(self):
         m = CareerModel(np.random.default_rng(1))
         zeros = [c for c in (m.draw_career("author", "F") for _ in range(300)) if c.h_index == 0]
         assert zeros, "novice draws should include h=0 researchers"
         for c in zeros:
-            assert all(v == 0 for v in c.citation_vector)
+            assert all(v == 0 for v in c.vector)
 
     def test_right_skewed_distribution(self, model):
         pubs = [model.draw_career("pc", "M").past_publications for _ in range(500)]
