@@ -36,9 +36,10 @@ ledger:
 
 # byte-identity guards for stream-preserving rewrites (METHODOLOGY §17):
 # pinned world and shard-dataset digests, pinned fingerprints and ledger
-# bodies, and each rewritten hot path against a copy of its old body
+# bodies, pinned experiment artifact texts, and each rewritten hot path
+# against a copy of its old body
 golden:
-	$(PYTHON) -m pytest tests/synth/test_world_golden.py tests/test_one_pipeline_golden.py tests/test_fast_path_equivalence.py
+	$(PYTHON) -m pytest tests/synth/test_world_golden.py tests/test_one_pipeline_golden.py tests/report/test_artifact_golden.py tests/test_fast_path_equivalence.py
 
 # the analysis-as-a-service front door (Ctrl-C / SIGTERM drains gracefully)
 serve:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import mask_eq, women_share
+from repro.analysis.common import mask_eq, memoized, women_share
 from repro.pipeline.dataset import AnalysisDataset
 from repro.stats.chisquare import Chi2Result
 from repro.stats.proportions import Proportion, proportion_diff
@@ -33,6 +33,7 @@ class BlindReport:
     lead_test: Chi2Result
 
 
+@memoized
 def blind_report(ds: AnalysisDataset) -> BlindReport:
     """Compute the double- vs single-blind author contrasts."""
     confs = ds.conferences

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import mask_eq
+from repro.analysis.common import mask_eq, memoized
 from repro.pipeline.dataset import AnalysisDataset
 from repro.stats.chisquare import Chi2Result, chi2_contingency, chi2_two_proportions
 from repro.stats.correlation import CorrelationResult, pearson
@@ -63,6 +63,7 @@ def _series(table, col: str) -> np.ndarray:
     return table[col].astype(np.float64)
 
 
+@memoized
 def experience_report(ds: AnalysisDataset) -> ExperienceReport:
     """Compute §5.1 over an analysis dataset."""
     r = ds.researchers

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.common import mask_eq, venues, women_share
+from repro.analysis.common import mask_eq, memoized, venues, women_share, women_share_by
 from repro.pipeline.dataset import AnalysisDataset
 from repro.stats.chisquare import Chi2Result
 from repro.stats.proportions import Proportion, proportion_diff
@@ -45,6 +45,7 @@ class FarReport:
         raise KeyError(f"no conference {name!r}")
 
 
+@memoized
 def far_report(ds: AnalysisDataset) -> FarReport:
     """Compute §3.1 over an analysis dataset."""
     positions = ds.author_positions
@@ -55,19 +56,14 @@ def far_report(ds: AnalysisDataset) -> FarReport:
     lead_overall = women_share(firsts)
     last_overall = women_share(lasts)
 
-    by_conf = []
-    for conf in venues(ds):
-        uniq = ds.conf_authors.filter(lambda t: mask_eq(t, "conference", conf))
-        cf = firsts.filter(lambda t: mask_eq(t, "conference", conf))
-        cl = lasts.filter(lambda t: mask_eq(t, "conference", conf))
-        by_conf.append(
-            ConferenceFar(
-                conference=conf,
-                authors=women_share(uniq),
-                lead=women_share(cf),
-                last=women_share(cl),
-            )
-        )
+    names = venues(ds)
+    uniq = women_share_by(ds.conf_authors, "conference", names)
+    lead = women_share_by(firsts, "conference", names)
+    last = women_share_by(lasts, "conference", names)
+    by_conf = [
+        ConferenceFar(conference=c, authors=uniq[c], lead=lead[c], last=last[c])
+        for c in names
+    ]
 
     return FarReport(
         overall=overall,

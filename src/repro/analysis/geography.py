@@ -11,12 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import mask_eq, women_share
+from repro.analysis.common import mask_eq, memoized, tally_by
 from repro.geo.countries import country_by_code
 from repro.geo.regions import REGION_ORDER
 from repro.pipeline.dataset import AnalysisDataset
 from repro.stats.proportions import Proportion
-from repro.tabular import Table
+from repro.tabular import Column, Table
+from repro.tabular.codes import factorize
 
 __all__ = ["CountryRow", "RegionRow", "GeographyReport", "geography_report"]
 
@@ -50,85 +51,89 @@ class GeographyReport:
 
 
 def _seat_table(ds: AnalysisDataset) -> Table:
-    """All seats (author positions + role slots) with country and gender."""
-    # author positions lack country columns; join researcher enrichment
+    """All seats (author positions + PC seats): kind, country and gender."""
     r = ds.researchers
-    info = {
-        rid: (c, g)
-        for rid, c, g in zip(r["researcher_id"], r["country"], r["gender"])
-    }
-    rows = []
-    for rid in ds.author_positions["researcher_id"]:
-        c, g = info.get(rid, (None, None))
-        rows.append({"researcher_id": rid, "kind": "author", "country": c, "gender": g})
-    slots = ds.role_slots
-    for rid, role, c, g in zip(
-        slots["researcher_id"], slots["role"], slots["country"], slots["gender"]
-    ):
-        if role == "pc_member":
-            rows.append(
-                {"researcher_id": rid, "kind": "pc", "country": c, "gender": g}
-            )
-    return Table.from_records(rows, columns=["researcher_id", "kind", "country", "gender"])
+    positions = ds.author_positions
+    pc = ds.role_slots.filter(lambda t: mask_eq(t, "role", "pc_member"))
+    # author positions lack country columns: gather them from the
+    # researcher table, one lookup per distinct id; an id with no
+    # researcher row reads the extra empty row at the end
+    row_of = dict(zip(r["researcher_id"], range(r.num_rows)))  # last row wins
+    f = factorize(positions.col("researcher_id"))
+    rows = np.array([row_of.get(rid, r.num_rows) for rid in f.uniques], np.int64)
+
+    def of_researcher(column: str) -> np.ndarray:
+        values = np.empty(r.num_rows + 1, dtype=object)
+        values[:-1] = r[column]
+        return values[rows[f.codes]]
+
+    def column(name: str, authors: np.ndarray) -> Column:
+        return Column(name, np.concatenate([authors, pc[name]]), "str")
+
+    kinds = np.array(["author", "pc"], dtype=object)
+    return Table(
+        [
+            Column("kind", kinds.repeat([positions.num_rows, pc.num_rows]), "str"),
+            column("country", of_researcher("country")),
+            column("gender", of_researcher("gender")),
+        ]
+    )
 
 
+@memoized
 def geography_report(ds: AnalysisDataset, fig7_min_authors: int = 10) -> GeographyReport:
     """Compute §5.2 over an analysis dataset."""
     seats = _seat_table(ds)
-    with_country = seats.filter(lambda t: ~t.col("country").is_missing())
+    author = mask_eq(seats, "kind", "author")
+    pc = mask_eq(seats, "kind", "pc")
+    known = ~seats.col("gender").is_missing()
+    women = mask_eq(seats, "gender", "F") & known
+    # one tally per country (seats without a country are not a key)
+    codes, (total, authors_n, women_a, known_a, women_p, known_p) = tally_by(
+        seats,
+        "country",
+        (np.ones(seats.num_rows, dtype=bool), author, women & author,
+         known & author, women & pc, known & pc),
+    )
 
     # ---- per-country rows (Table 2 / Fig. 7) -----------------------------
     rows: list[CountryRow] = []
-    for code in with_country.col("country").unique():
-        sub = with_country.filter(lambda t: mask_eq(t, "country", code))
-        authors_n = int(np.sum(mask_eq(sub, "kind", "author")))
+    regions_present: dict[str, list[int]] = {}  # region -> its countries' tallies
+    for j, code in enumerate(codes):
         country = country_by_code(code)
         rows.append(
             CountryRow(
                 country_code=code,
                 country_name=country.name if country else code,
-                total=sub.num_rows,
-                women=women_share(sub),
-                author_total=authors_n,
+                total=int(total[j]),
+                women=Proportion(int(women_a[j] + women_p[j]), int(known_a[j] + known_p[j])),
+                author_total=int(authors_n[j]),
             )
         )
+        if country and country.subregion:
+            regions_present.setdefault(country.subregion, []).append(j)
     rows.sort(key=lambda r: (-r.total, r.country_code))
 
-    # ---- per-region rows (Table 3) -------------------------------------------
-    region_of = {}
-    for code in with_country.col("country").unique():
-        c = country_by_code(code)
-        region_of[code] = c.subregion if c else None
-    regions_present = {}
-    for code, region in region_of.items():
-        if region:
-            regions_present.setdefault(region, []).append(code)
-
+    # ---- per-region rows (Table 3): sums of their countries' tallies ------
     region_rows: list[RegionRow] = []
     ordered = [r for r in REGION_ORDER if r in regions_present] + [
         r for r in sorted(regions_present) if r not in REGION_ORDER
     ]
     for region in ordered:
-        codes = set(regions_present[region])
-        sub = with_country.filter(
-            lambda t: np.array([c in codes for c in t["country"]], dtype=bool)
-        )
-        authors = sub.filter(lambda t: mask_eq(t, "kind", "author"))
-        pc = sub.filter(lambda t: mask_eq(t, "kind", "pc"))
+        js = regions_present[region]
         region_rows.append(
-            RegionRow(region=region, authors=women_share(authors), pc=women_share(pc))
+            RegionRow(
+                region=region,
+                authors=Proportion(int(women_a[js].sum()), int(known_a[js].sum())),
+                pc=Proportion(int(women_p[js].sum()), int(known_p[js].sum())),
+            )
         )
 
-    author_seats = with_country.filter(lambda t: mask_eq(t, "kind", "author"))
-    us_share = (
-        float(np.mean(mask_eq(author_seats, "country", "US")))
-        if author_seats.num_rows
-        else float("nan")
-    )
-
+    identified = int(authors_n.sum())
+    us = int(authors_n[codes.index("US")]) if "US" in codes else 0
     return GeographyReport(
         countries=tuple(rows),
         regions=tuple(region_rows),
-        identified_authors=author_seats.num_rows,
-        us_author_share=us_share,
+        identified_authors=identified,
+        us_author_share=us / identified if identified else float("nan"),
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import mask_eq, women_share
+from repro.analysis.common import memoized, women_share
 from repro.pipeline.dataset import AnalysisDataset
 from repro.stats.chisquare import Chi2Result
 from repro.stats.proportions import Proportion, proportion_diff
@@ -34,6 +34,7 @@ class HpcTopicReport:
     lead_test: Chi2Result
 
 
+@memoized
 def hpc_topic_report(ds: AnalysisDataset) -> HpcTopicReport:
     """Compute §4.1 over an analysis dataset."""
     papers = ds.papers

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import mask_eq, venues, women_share
+from repro.analysis.common import mask_eq, memoized, venues, women_share, women_share_by
 from repro.pipeline.dataset import AnalysisDataset
 from repro.stats.chisquare import Chi2Result
 from repro.stats.proportions import Proportion, proportion_diff
@@ -33,6 +33,7 @@ class PcReport:
     zero_women_chair_confs: tuple[str, ...]
 
 
+@memoized
 def pc_report(ds: AnalysisDataset) -> PcReport:
     """Compute §3.2 over an analysis dataset."""
     slots = ds.role_slots
@@ -40,9 +41,7 @@ def pc_report(ds: AnalysisDataset) -> PcReport:
     memberships = women_share(pc)
 
     names = venues(ds)
-    by_conf: dict[str, Proportion] = {}
-    for conf in names:
-        by_conf[conf] = women_share(pc.filter(lambda t: mask_eq(t, "conference", conf)))
+    by_conf = women_share_by(pc, "conference", names)
 
     non_sc = pc.filter(lambda t: ~mask_eq(t, "conference", "SC"))
     excluding_sc = women_share(non_sc)
@@ -52,13 +51,8 @@ def pc_report(ds: AnalysisDataset) -> PcReport:
 
     chairs_tab = slots.filter(lambda t: mask_eq(t, "role", "pc_chair"))
     chairs = women_share(chairs_tab)
-    chairs_by_conf: dict[str, Proportion] = {}
-    zero: list[str] = []
-    for conf in names:
-        p = women_share(chairs_tab.filter(lambda t: mask_eq(t, "conference", conf)))
-        chairs_by_conf[conf] = p
-        if p.n > 0 and p.hits == 0:
-            zero.append(conf)
+    chairs_by_conf = women_share_by(chairs_tab, "conference", names)
+    zero = [c for c, p in chairs_by_conf.items() if p.n > 0 and p.hits == 0]
 
     return PcReport(
         memberships=memberships,

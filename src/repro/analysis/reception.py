@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.common import memoized
 from repro.pipeline.dataset import AnalysisDataset
 from repro.stats.chisquare import Chi2Result, chi2_two_proportions
 from repro.stats.kde import KdeResult, gaussian_kde
@@ -39,6 +40,7 @@ class ReceptionReport:
     kde_male: KdeResult | None
 
 
+@memoized
 def reception_report(ds: AnalysisDataset, outlier_threshold: int = 100) -> ReceptionReport:
     """Compute Fig. 2 over an analysis dataset.
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import mask_eq, women_share
+from repro.analysis.common import mask_eq, memoized, women_share
 from repro.pipeline.dataset import AnalysisDataset
 from repro.stats.chisquare import Chi2Result, chi2_contingency
 from repro.stats.proportions import Proportion
@@ -39,6 +39,7 @@ def _women_men_matrix(shares: dict[str, Proportion]) -> np.ndarray:
     )
 
 
+@memoized
 def sector_report(ds: AnalysisDataset) -> SectorReport:
     """Compute §5.3 over an analysis dataset."""
     r = ds.researchers

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.blind import blind_report
+from repro.analysis.common import memoized
 from repro.analysis.far import FarReport, far_report
 from repro.analysis.pc import pc_report
 from repro.gender.model import Gender
@@ -72,6 +73,7 @@ def _observations(ds: AnalysisDataset, far: FarReport) -> dict[str, bool]:
     }
 
 
+@memoized
 def sensitivity_report(ds: AnalysisDataset) -> SensitivityReport:
     """Run the §2 sensitivity analysis over an analysis dataset."""
     far = far_report(ds)

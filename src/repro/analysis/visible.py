@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.common import mask_eq, venues, women_share
+import numpy as np
+
+from repro.analysis.common import mask_eq, memoized, venues, women_share, women_share_by
 from repro.pipeline.dataset import AnalysisDataset
 from repro.stats.proportions import Proportion
 
@@ -29,6 +31,7 @@ class VisibleReport:
     zero_session_chair_seats: int                        # paper: 45
 
 
+@memoized
 def visible_report(ds: AnalysisDataset) -> VisibleReport:
     """Compute §3.3 over an analysis dataset."""
     slots = ds.role_slots
@@ -37,24 +40,19 @@ def visible_report(ds: AnalysisDataset) -> VisibleReport:
     zero: dict[str, tuple[str, ...]] = {}
 
     names = venues(ds)
-    seats_at: dict[str, int] = {}
-    for role in _VISIBLE:
-        tab = slots.filter(lambda t: mask_eq(t, "role", role))
+    tabs = {role: slots.filter(lambda t: mask_eq(t, "role", role)) for role in _VISIBLE}
+    for role, tab in tabs.items():
         overall[role] = women_share(tab)
-        conf_map: dict[str, Proportion] = {}
-        zero_confs: list[str] = []
-        for conf in names:
-            sub = tab.filter(lambda t: mask_eq(t, "conference", conf))
-            p = women_share(sub)
-            conf_map[conf] = p
-            if role == "session_chair":
-                seats_at[conf] = sub.num_rows  # all seats, unknowns included
-            if p.n > 0 and p.hits == 0:
-                zero_confs.append(conf)
-        by_conf[role] = conf_map
-        zero[role] = tuple(zero_confs)
+        by_conf[role] = women_share_by(tab, "conference", names)
+        zero[role] = tuple(
+            c for c, p in by_conf[role].items() if p.n > 0 and p.hits == 0
+        )
 
-    zero_seats = sum(seats_at[c] for c in zero["session_chair"])
+    # all seats at those venues, unknown genders included
+    chairs = tabs["session_chair"]
+    zero_seats = sum(
+        int(np.sum(mask_eq(chairs, "conference", c))) for c in zero["session_chair"]
+    )
     return VisibleReport(
         overall=overall,
         by_conference=by_conf,

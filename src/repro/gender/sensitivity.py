@@ -27,4 +27,9 @@ def reassign_unknowns(
     if to is Gender.UNKNOWN:
         raise ValueError("sensitivity target must be F or M")
     forced = _FORCED[to]
-    return {pid: a if a.known else forced for pid, a in assignments.items()}
+    # assignments are shared values: decide once per distinct object,
+    # then map the per-researcher objects through that decision
+    objs = list(assignments.values())
+    keys = list(map(id, objs))
+    swap = {k: a if a.known else forced for k, a in dict(zip(keys, objs)).items()}
+    return dict(zip(assignments, map(swap.__getitem__, keys)))

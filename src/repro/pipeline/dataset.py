@@ -24,13 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.confmodel.roles import Role
 from repro.gender.model import Gender, GenderAssignment
 from repro.pipeline.enrich import Enrichment
 from repro.pipeline.link import LinkedData
-from repro.tabular import Table
+from repro.tabular import Column, Table
+from repro.tabular.codes import factorize
 
 __all__ = ["AnalysisDataset"]
+
+# instance attribute holding the report memo; never pickled
+_MEMO = "_report_memo"
 
 
 def _table(columns: dict[str, list]) -> Table:
@@ -40,6 +46,13 @@ def _table(columns: dict[str, list]) -> Table:
     which a harvest that lost a page produces.
     """
     return Table(columns) if next(iter(columns.values())) else Table()
+
+
+def _str_array(values: list) -> np.ndarray:
+    """An object array of ``values`` (element by element, never nested)."""
+    arr = np.empty(len(values), dtype=object)
+    arr[:] = values
+    return arr
 
 
 def _gender_str(a: GenderAssignment | None) -> str | None:
@@ -230,51 +243,67 @@ class AnalysisDataset:
         """Rebuild all gender columns under different assignments.
 
         Used by the §2 sensitivity analysis (force unknowns to F, then M)
-        — everything except the gender columns is reused as-is.
+        — everything except the gender columns is reused as-is, and the
+        new dataset starts with an empty report memo.
         """
-        ids = self.researchers["researcher_id"]
+        ids = self.researchers.col("researcher_id")
         # assignments are shared immutable values (a few hundred distinct
-        # objects for tens of thousands of researchers): render each once
-        rendered: dict[int, tuple[str | None, str]] = {}
-        genders: list[str | None] = []
-        methods: list[str] = []
-        for rid in ids:
-            a = assignments.get(rid)
-            cells = rendered.get(id(a))
-            if cells is None:
-                method = a.method.value if a is not None else "none"
-                cells = rendered[id(a)] = (_gender_str(a), method)
-            genders.append(cells[0])
-            methods.append(cells[1])
-        gender = dict(zip(ids, genders))
+        # objects for tens of thousands of researchers): render each once,
+        # then gather the rendered cells per researcher
+        objs = list(map(assignments.get, ids.values))
+        keys = list(map(id, objs))
+        distinct = dict(zip(keys, objs))
+        gender_of = {k: _gender_str(a) for k, a in distinct.items()}
+        method_of = {
+            k: a.method.value if a is not None else "none" for k, a in distinct.items()
+        }
+        genders = _str_array(list(map(gender_of.__getitem__, keys)))
+        methods = _str_array(list(map(method_of.__getitem__, keys)))
+        gender = dict(zip(ids.values, genders))
 
         def regender(table: Table, id_col: str, out_col: str) -> Table:
-            vals = [gender.get(rid) for rid in table[id_col]]
-            return table.with_column(out_col, vals)
+            # one lookup per distinct id (the column's cached
+            # factorization), then a gather over the rows; an absent
+            # author (None) is no researcher's id
+            f = factorize(table.col(id_col))
+            vals = _str_array([gender.get(rid) for rid in f.uniques])[f.codes]
+            return table.with_column(out_col, Column(out_col, vals, "str"))
 
-        researchers = self.researchers.with_column("gender", genders)
-        researchers = researchers.with_column("gender_method", methods)
-        author_positions = regender(self.author_positions, "researcher_id", "gender")
-        conf_authors = regender(self.conf_authors, "researcher_id", "gender")
-        papers = self.papers
-        papers = papers.with_column(
-            "first_gender",
-            [gender.get(rid) if rid else None for rid in papers["first_author"]],
+        researchers = self.researchers.with_column(
+            "gender", Column("gender", genders, "str")
         )
-        papers = papers.with_column(
-            "last_gender",
-            [gender.get(rid) if rid else None for rid in papers["last_author"]],
+        researchers = researchers.with_column(
+            "gender_method", Column("gender_method", methods, "str")
         )
-        role_slots = regender(self.role_slots, "researcher_id", "gender")
         return AnalysisDataset(
             researchers=researchers,
-            author_positions=author_positions,
-            conf_authors=conf_authors,
-            papers=papers,
+            author_positions=regender(self.author_positions, "researcher_id", "gender"),
+            conf_authors=regender(self.conf_authors, "researcher_id", "gender"),
+            papers=regender(
+                regender(self.papers, "first_author", "first_gender"),
+                "last_author",
+                "last_gender",
+            ),
             conferences=self.conferences,
-            role_slots=role_slots,
+            role_slots=regender(self.role_slots, "researcher_id", "gender"),
             assignments=dict(assignments),
         )
+
+    # ----------------------------------------------------------- report memo
+
+    @property
+    def report_memo(self) -> dict:
+        """Reports computed on this object (METHODOLOGY §18).
+
+        Filled by :func:`repro.analysis.common.memoized`.  It is not a
+        dataclass field, so ``==``, ``repr`` and field walks ignore it,
+        and it is dropped from pickles: it lives exactly as long as this
+        object and a new or re-derived dataset starts empty.
+        """
+        return self.__dict__.setdefault(_MEMO, {})
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != _MEMO}
 
     # ------------------------------------------------------------- shortcuts
 

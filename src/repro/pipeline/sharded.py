@@ -365,10 +365,15 @@ def build_shard_graph(plan: ShardPlan, params: ShardParams):
 
 @dataclass
 class _WorldMeta:
-    """Ledger-facing stand-in for a full world (seed + config only)."""
+    """Ledger-facing stand-in for a full world (seed + config only).
+
+    Shards build no SC/ISC case-study editions, so the timeline is empty,
+    as it is for a monolithic world built from a custom roster.
+    """
 
     seed: int
     config: WorldConfig
+    timeline: tuple = ()
 
 
 @dataclass

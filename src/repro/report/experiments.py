@@ -49,6 +49,11 @@ def _f(fig_builder):
     return run
 
 
+def _authors_at(far, name: str) -> str:
+    """A venue's author share, ``n/a`` when the dataset lacks the venue."""
+    return next((str(c.authors) for c in far.by_conference if c.conference == name), "n/a")
+
+
 def _headline(result: PipelineResult):
     ds = result.dataset
     far = far_report(ds)
@@ -56,8 +61,8 @@ def _headline(result: PipelineResult):
     pc = pc_report(ds)
     lines = [
         f"FAR overall: {far.overall} (paper: 9.9%)",
-        f"FAR SC: {far.conference('SC').authors} (paper: 8.12%)",
-        f"FAR ISC: {far.conference('ISC').authors} (paper: 5.77%)",
+        f"FAR SC: {_authors_at(far, 'SC')} (paper: 8.12%)",
+        f"FAR ISC: {_authors_at(far, 'ISC')} (paper: 5.77%)",
         f"double-blind {blind.authors_double} vs single-blind {blind.authors_single} "
         f"(chi2={blind.authors_test.statistic:.3f}, p={blind.authors_test.p_value:.4f}; "
         "paper: 7.57% vs 10.52%, chi2=3.133, p=0.0767)",
@@ -66,7 +71,7 @@ def _headline(result: PipelineResult):
         f"last authors: {far.last_overall} vs all {far.overall} "
         f"(chi2={far.last_vs_all.statistic:.3f}, p={far.last_vs_all.p_value:.3f}; "
         "paper: 8.4% vs 9.9%, chi2=0.724, p=0.395)",
-        f"PC: {pc.memberships} (paper: 18.46% of 1220); SC PC {pc.by_conference['SC']} "
+        f"PC: {pc.memberships} (paper: 18.46% of 1220); SC PC {pc.by_conference.get('SC', 'n/a')} "
         f"(paper 29.6%); excl. SC {pc.excluding_sc} (paper 16.1%)",
         f"zero-women PC chairs at: {', '.join(pc.zero_women_chair_confs)} (paper: 4 confs)",
     ]

@@ -170,3 +170,8 @@ class Column:
 
     def __hash__(self):  # Columns are not hashable (mutable-equality semantics)
         raise TypeError("Column is not hashable")
+
+    def __getstate__(self):
+        # the factorization cache is derived: a pickle always carries an
+        # empty one, so a column's bytes do not depend on what grouped it
+        return (None, {"name": self.name, "kind": self.kind, "values": self.values, "_fact": None})

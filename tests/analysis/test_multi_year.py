@@ -3,8 +3,12 @@
 ``ds.conferences`` has one row per edition, so a dataset spanning two
 years names every venue twice.  The per-venue loops of ``far_report``,
 ``pc_report`` and ``visible_report`` (and ``policy_report``'s correlation
-over them) must still see three venues, not six editions.
+over them) must still see three venues, not six editions.  A diversity
+chair, though, belongs to one edition: ``policy_report`` decides policy
+per (venue, year) and names each policy venue once.
 """
+
+import dataclasses
 
 import pytest
 
@@ -110,3 +114,21 @@ def test_zero_session_chair_seats_counted_once(ds):
     # A's three session-chair seats over both years, the unknown included
     assert vis.zero_session_chair_seats == 3
     assert list(vis.by_conference["session_chair"]) == list(VENUES)
+
+
+def test_policy_is_decided_per_edition(ds):
+    chairs = {("C", 2016), ("B", 2017), ("C", 2017)}
+    conferences = Table.from_records(
+        [
+            {"conference": v, "year": y, "diversity_chair": (v, y) in chairs}
+            for y in YEARS
+            for v in VENUES
+        ]
+    )
+    rep = policy_report(dataclasses.replace(ds, conferences=conferences))
+    # C first (its 2016 edition comes first), each venue once
+    assert rep.policy_confs == ("C", "B")
+    # B's 2016 positions (one woman of two) are not "policy": only its
+    # 2017 ones (two men) and all six of C's (three women) are
+    assert (rep.far_policy.hits, rep.far_policy.n) == (3, 8)
+    assert (rep.far_no_policy.hits, rep.far_no_policy.n) == (2, 8)

@@ -6,7 +6,9 @@ in ``infer_dtype``, prefix count in ``h_index``, text emission in
 ``generate_site``, the parse loop of ``parse_html``, the one walk per
 paper node in ``scrape_site``, the column build of
 ``AnalysisDataset.build``, the planned sweeps of ``ipf_fit``, the role
-tables of ``_country_gender_cells``, the career vector and its h check);
+tables of ``_country_gender_cells``, the career vector and its h check,
+the per-row gender lookups of ``with_assignments`` and
+``reassign_unknowns``);
 hypothesis and generated sites drive both over inputs chosen to hit the
 edges the fast paths skip.  ``make golden`` runs this module with the
 world and pipeline digest guards.
@@ -720,7 +722,8 @@ def test_parse_html_matches_old_body_on_fragments(page):
 # ----------------------------------------------------------- dataset
 
 from repro.confmodel.roles import Role as _Role  # noqa: E402
-from repro.gender.model import GenderAssignment  # noqa: E402
+from repro.gender.model import Gender, GenderAssignment  # noqa: E402
+from repro.gender.sensitivity import _FORCED, reassign_unknowns  # noqa: E402
 from repro.pipeline.dataset import AnalysisDataset, _gender_str  # noqa: E402
 from repro.pipeline.enrich import Enrichment  # noqa: E402
 from repro.pipeline.link import LinkedData  # noqa: E402
@@ -1004,6 +1007,115 @@ def test_with_assignments_matches_old_body(small_result):
         for name, table in zip(names, _old_with_assignments(ds, assignments)):
             assert _table_form(getattr(new, name)) == _table_form(table), name
         assert new.assignments == assignments
+
+
+def _old_with_assignments_per_row(
+    self, assignments: dict[str, GenderAssignment]
+) -> tuple[Table, ...]:
+    ids = self.researchers["researcher_id"]
+    # assignments are shared immutable values (a few hundred distinct
+    # objects for tens of thousands of researchers): render each once
+    rendered: dict[int, tuple[str | None, str]] = {}
+    genders: list[str | None] = []
+    methods: list[str] = []
+    for rid in ids:
+        a = assignments.get(rid)
+        cells = rendered.get(id(a))
+        if cells is None:
+            method = a.method.value if a is not None else "none"
+            cells = rendered[id(a)] = (_gender_str(a), method)
+        genders.append(cells[0])
+        methods.append(cells[1])
+    gender = dict(zip(ids, genders))
+
+    def regender(table: Table, id_col: str, out_col: str) -> Table:
+        vals = [gender.get(rid) for rid in table[id_col]]
+        return table.with_column(out_col, vals)
+
+    researchers = self.researchers.with_column("gender", genders)
+    researchers = researchers.with_column("gender_method", methods)
+    author_positions = regender(self.author_positions, "researcher_id", "gender")
+    conf_authors = regender(self.conf_authors, "researcher_id", "gender")
+    papers = self.papers
+    papers = papers.with_column(
+        "first_gender",
+        [gender.get(rid) if rid else None for rid in papers["first_author"]],
+    )
+    papers = papers.with_column(
+        "last_gender",
+        [gender.get(rid) if rid else None for rid in papers["last_author"]],
+    )
+    role_slots = regender(self.role_slots, "researcher_id", "gender")
+    return (researchers, author_positions, conf_authors, papers, self.conferences, role_slots)
+
+
+def _old_reassign_unknowns(assignments, to):
+    if to is Gender.UNKNOWN:
+        raise ValueError("sensitivity target must be F or M")
+    forced = _FORCED[to]
+    return {pid: a if a.known else forced for pid, a in assignments.items()}
+
+
+@pytest.fixture(scope="module")
+def regender_datasets(small_result):
+    from repro.api import RunConfig, WorldConfig, run_sharded
+
+    sharded = run_sharded(
+        RunConfig(world=WorldConfig(seed=5, scale=0.25, venues=2, years=(2016, 2017)),
+                  shards=2)
+    )
+    edge, empty = (AnalysisDataset.build(*inputs) for inputs in _edge_case_inputs())
+    return {"paper": small_result.dataset, "sharded": sharded.dataset,
+            "edge": edge, "empty": empty}
+
+
+def _assignment_cases(ds):
+    from repro.gender.model import InferenceMethod
+
+    own = ds.assignments
+    # equal-valued but distinct objects, and an id no table knows
+    twins = {rid: GenderAssignment(Gender.F, InferenceMethod.GENDERIZE, 0.9)
+             for rid in list(own)[::3]}
+    twins["nobody"] = GenderAssignment.unassigned()
+    return {
+        "own": own,
+        "every-other": dict(list(own.items())[::2]),
+        "none": {},
+        "twins": {**own, **twins},
+        "all-women": _old_reassign_unknowns(own, Gender.F),
+        "all-men": _old_reassign_unknowns(own, Gender.M),
+    }
+
+
+@pytest.mark.parametrize("name", ["paper", "sharded", "edge", "empty"])
+def test_columnar_with_assignments_matches_old_body(regender_datasets, name):
+    ds = regender_datasets[name]
+    names = ("researchers", "author_positions", "conf_authors", "papers",
+             "conferences", "role_slots")
+    for label, assignments in _assignment_cases(ds).items():
+        if not ds.author_positions.columns:  # a harvest that lost every page
+            with pytest.raises(KeyError):
+                _old_with_assignments_per_row(ds, assignments)
+            with pytest.raises(KeyError):
+                ds.with_assignments(assignments)
+            continue
+        new = ds.with_assignments(assignments)
+        for table_name, table in zip(names, _old_with_assignments_per_row(ds, assignments)):
+            assert _table_form(getattr(new, table_name)) == _table_form(table), (label, table_name)
+        assert new.assignments == assignments
+
+
+@pytest.mark.parametrize("name", ["paper", "sharded", "edge", "empty"])
+def test_columnar_reassign_unknowns_matches_old_body(regender_datasets, name):
+    for assignments in _assignment_cases(regender_datasets[name]).values():
+        for to in (Gender.F, Gender.M):
+            new = reassign_unknowns(assignments, to)
+            old = _old_reassign_unknowns(assignments, to)
+            assert list(new) == list(old)
+            # the very same objects: shared values stay shared
+            assert all(new[k] is old[k] for k in old)
+    with pytest.raises(ValueError, match="F or M"):
+        reassign_unknowns({}, Gender.UNKNOWN)
 
 
 # --------------------------------------------------------------- ipf
