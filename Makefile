@@ -75,13 +75,19 @@ chaos:
 
 # the standing determinism check: two identical-seed ledgered runs must
 # show zero scientific drift (the sentinel exits non-zero on any drifted
-# cell; the generous timing threshold keeps machine noise out of it)
+# cell; the generous timing threshold keeps machine noise out of it) --
+# once on the monolithic path and once on the sharded one, each pair in
+# its own obs dir
 regress:
-	rm -rf out/regress
+	rm -rf out/regress out/regress-sharded
 	$(PYTHON) -m repro --ledger --obs-dir out/regress --seed 7 --scale 0.25 run
 	$(PYTHON) -m repro --ledger --obs-dir out/regress --seed 7 --scale 0.25 run
 	$(PYTHON) -m repro --obs-dir out/regress runs diff
 	$(PYTHON) -m repro --obs-dir out/regress runs regress --threshold 3.0
+	$(PYTHON) -m repro --ledger --obs-dir out/regress-sharded --seed 7 --scale 0.25 --shards 4 run
+	$(PYTHON) -m repro --ledger --obs-dir out/regress-sharded --seed 7 --scale 0.25 --shards 4 run
+	$(PYTHON) -m repro --obs-dir out/regress-sharded runs diff
+	$(PYTHON) -m repro --obs-dir out/regress-sharded runs regress --threshold 3.0
 
 # cold run populates the artifact cache; the repeat run is served
 # entirely from it (every stage line reports "(cache hit)")

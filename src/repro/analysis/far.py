@@ -44,6 +44,10 @@ class FarReport:
                 return c
         raise KeyError(f"no conference {name!r}")
 
+    def authors_of(self, name: str) -> Proportion | None:
+        """A venue's author share, ``None`` when the dataset lacks the venue."""
+        return next((c.authors for c in self.by_conference if c.conference == name), None)
+
 
 @memoized
 def far_report(ds: AnalysisDataset) -> FarReport:

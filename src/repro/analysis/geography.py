@@ -81,7 +81,7 @@ def _seat_table(ds: AnalysisDataset) -> Table:
 
 
 @memoized
-def geography_report(ds: AnalysisDataset, fig7_min_authors: int = 10) -> GeographyReport:
+def geography_report(ds: AnalysisDataset) -> GeographyReport:
     """Compute §5.2 over an analysis dataset."""
     seats = _seat_table(ds)
     author = mask_eq(seats, "kind", "author")

@@ -7,6 +7,10 @@ module layout, which is free to keep moving::
 
     result = run_pipeline(RunConfig(world=WorldConfig(seed=7)))
 
+``run_pipeline`` is the one entry point: the same call runs the sharded
+pipeline when ``RunConfig.shards`` is set, and both paths return a
+:class:`PipelineResult` (``run_sharded`` is another name for it).
+
 Everything re-exported below is covered by the public-API tests
 (``tests/test_public_api.py``), which pin this exact name list: adding
 a name here is an API promise, removing one is a breaking change.
@@ -21,8 +25,7 @@ from repro.gender.resolver import ResolverPolicy
 from repro.obs.context import ObsContext
 from repro.pipeline.config import EngineConfig, RunConfig
 from repro.pipeline.dataset import AnalysisDataset
-from repro.pipeline.runner import PipelineResult, run_pipeline
-from repro.pipeline.sharded import ShardedRunResult, run_sharded
+from repro.pipeline.runner import PipelineResult, run_pipeline, run_sharded
 from repro.synth.config import WorldConfig
 from repro.synth.shards import ShardPlan, ShardSpec
 from repro.synth.world import SyntheticWorld, build_world
@@ -49,7 +52,6 @@ __all__ = [
     "ShardSpec",
     # results
     "PipelineResult",
-    "ShardedRunResult",
     "AnalysisDataset",
     "SyntheticWorld",
     "DegradedCoverage",

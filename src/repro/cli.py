@@ -64,6 +64,7 @@ import sys
 
 from repro.contracts import ContractViolationError
 from repro.pipeline import RunConfig, run_pipeline
+from repro.pipeline.runner import UnsupportedRunError
 
 __all__ = [
     "main",
@@ -410,15 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _result(args):
     rc = RunConfig.from_cli(args)
-    if rc.shards is not None:
-        from repro.pipeline.sharded import run_sharded
-
-        mode = rc.validation_mode()
-        if mode is not None and mode.value == "strict":
-            raise SystemExit("--validate strict is not supported with --shards")
-        result = run_sharded(rc)
-    else:
-        result = run_pipeline(rc)
+    result = run_pipeline(rc)
     # stashed for the post-command observability hooks (ledger append)
     args._last_result = result
     args._last_config = rc
@@ -436,7 +429,7 @@ def _cmd_run(args) -> int:
     print()
     print(f"researchers: {result.dataset.researchers.num_rows}  "
           f"papers: {result.dataset.papers.num_rows}")
-    if getattr(result, "plan", None) is not None:
+    if result.plan is not None:
         print(f"shards: {len(result.plan)}  "
               f"(cache hits {result.shard_cache_hits}, "
               f"executed {result.executed_shards})")
@@ -800,6 +793,9 @@ def main(argv: list[str] | None = None) -> int:
             _finish_obs(args, obs)
             return code
         return _COMMANDS[args.command](args)
+    except UnsupportedRunError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 1
     except ContractViolationError as exc:
         # strict mode: surface the machine-readable violations and fail
         print(f"contract violation: {exc}", file=sys.stderr)

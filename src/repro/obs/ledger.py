@@ -36,9 +36,13 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.obs.events import EventLog, write_events
+
+if TYPE_CHECKING:  # repro.obs must import without the pipeline stack
+    from repro.faults.degradation import DegradedCoverage
+    from repro.pipeline.runner import PipelineResult, RunConfig
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -258,24 +262,25 @@ def scientific_cells(result: Any) -> dict[str, Any]:
 
 
 def build_run_record(
-    result: Any,
-    config: Any | None = None,
+    result: PipelineResult,
+    config: RunConfig | None = None,
     command: str = "api",
     extra_meta: dict | None = None,
 ) -> RunRecord:
     """Assemble the ledger record for one finished pipeline run.
 
-    ``result`` is a :class:`~repro.pipeline.runner.PipelineResult`;
-    ``config`` the :class:`~repro.pipeline.config.RunConfig` it ran
-    under (``None`` for prebuilt-world API calls — the world's own seed
-    and scale still land in ``meta``).  Works with or without an
+    ``result`` is a :class:`~repro.pipeline.runner.PipelineResult`,
+    monolithic or sharded; ``config`` the
+    :class:`~repro.pipeline.config.RunConfig` it ran under (``None`` for
+    prebuilt-world API calls — the world's own seed and scale still land
+    in ``meta``).  Works with or without an
     observability context: without one the metrics/event sections are
     empty, the stage and scientific sections are always populated.
     """
     from repro.version import __version__
 
     timer = result.timer
-    obs = getattr(result, "obs", None)
+    obs = result.obs
     metrics = obs.metrics if obs is not None and obs.enabled else None
     events = obs.events if obs is not None and obs.enabled else None
 
@@ -300,8 +305,8 @@ def build_run_record(
     meta: dict[str, Any] = {
         "version": __version__,
         "command": command,
-        "seed": result.world.seed,
-        "scale": result.world.config.scale,
+        "seed": result.world_config.seed,
+        "scale": result.world_config.scale,
         "engine": bool(config is not None and config.engine is not None),
     }
     if config is not None:
@@ -372,7 +377,7 @@ def build_service_record(
     )
 
 
-def _fault_section(degraded: Any | None) -> dict:
+def _fault_section(degraded: DegradedCoverage | None) -> dict:
     if degraded is None:
         return {}
     return {
@@ -383,9 +388,9 @@ def _fault_section(degraded: Any | None) -> dict:
         "exhausted": degraded.exhausted,
         "breaker_opens": degraded.breaker_opens,
         # supervised-engine accounting; empty/zero on unsupervised runs
-        "failed_nodes": sorted(getattr(degraded, "failed_nodes", ())),
-        "skipped_nodes": sorted(getattr(degraded, "skipped_nodes", ())),
-        "node_retries": getattr(degraded, "node_retries", 0),
+        "failed_nodes": sorted(degraded.failed_nodes),
+        "skipped_nodes": sorted(degraded.skipped_nodes),
+        "node_retries": degraded.node_retries,
     }
 
 

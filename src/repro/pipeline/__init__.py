@@ -11,10 +11,11 @@ Stages (each a module, composable separately):
 4. :mod:`repro.pipeline.infer`   — the gender-assignment cascade.
 5. :mod:`repro.pipeline.dataset` — the tabular
    :class:`~repro.pipeline.dataset.AnalysisDataset` the analyses read.
-6. :mod:`repro.pipeline.runner`  — :func:`run_pipeline`: the stage
-   sequence of :mod:`repro.engine.stages` run on the stage-DAG engine.
-7. :mod:`repro.pipeline.sharded` — :func:`run_sharded`: the
-   conference×edition-sharded streaming pipeline for scaled universes.
+6. :mod:`repro.pipeline.sharded` — the conference×edition-sharded
+   streaming graph for scaled universes.
+7. :mod:`repro.pipeline.runner`  — :func:`run_pipeline`, the one entry
+   point: either graph on the stage-DAG engine, one
+   :class:`PipelineResult` (``run_sharded`` is the same function).
 
 Nothing downstream of ingest reads the ground truth: tables and figures
 are recomputed from harvested artifacts, so pipeline defects show up as
@@ -32,8 +33,8 @@ from repro.pipeline.enrich import enrich_researchers, Enrichment
 from repro.pipeline.infer import infer_genders, InferenceOutcome
 from repro.pipeline.dataset import AnalysisDataset
 from repro.pipeline.config import EngineConfig, RunConfig
-from repro.pipeline.runner import run_pipeline, PipelineResult
-from repro.pipeline.sharded import run_sharded, ShardedRunResult, ShardResult
+from repro.pipeline.runner import run_pipeline, run_sharded, PipelineResult
+from repro.pipeline.sharded import ShardResult
 
 __all__ = [
     "EngineConfig",
@@ -53,6 +54,5 @@ __all__ = [
     "run_pipeline",
     "PipelineResult",
     "run_sharded",
-    "ShardedRunResult",
     "ShardResult",
 ]

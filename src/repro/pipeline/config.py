@@ -1,10 +1,9 @@
 """The consolidated run configuration.
 
 :class:`RunConfig` is everything
-:func:`~repro.pipeline.runner.run_pipeline` and
-:func:`~repro.pipeline.sharded.run_sharded` accept (plus the engine's
-cache options), as one frozen, picklable object with a single CLI
-constructor.
+:func:`~repro.pipeline.runner.run_pipeline`, the one entry point of a
+run, accepts (plus the engine's cache options), as one frozen,
+picklable object with a single CLI constructor.
 
 ::
 
@@ -106,9 +105,10 @@ class RunConfig:
         ``cache_dir``: every node (and shard) that finished is served
         from the cache.
     shards:
-        Venue count of a sharded synthetic universe.  Setting it routes
-        the run through :func:`~repro.pipeline.sharded.run_sharded`:
-        each conference×edition cell is generated, harvested, linked,
+        Venue count of a sharded synthetic universe.  Setting it makes
+        :func:`~repro.pipeline.runner.run_pipeline` build the sharded
+        graph of :mod:`repro.pipeline.sharded`: each
+        conference×edition cell is generated, harvested, linked,
         enriched, and gender-inferred as an independent engine DAG node,
         then merged deterministically.  ``None`` keeps the monolithic
         single-world pipeline.  Unlike ``shard_workers``, this changes

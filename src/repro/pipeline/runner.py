@@ -1,10 +1,11 @@
-"""End-to-end pipeline driver.
+"""End-to-end pipeline driver: :func:`run_pipeline` starts every run.
 
-:func:`run_pipeline` runs the stage sequence of
-:mod:`repro.engine.stages` on the stage-DAG engine — always: with
+It executes the stage sequence of :mod:`repro.engine.stages` — or, with
+``RunConfig.shards`` or a shard plan, the sharded graph of
+:mod:`repro.pipeline.sharded` — on the stage-DAG engine, always: with
 ``RunConfig.engine=None`` the engine runs in memory, uncached and
-serially.  Beyond the happy path, a run owns the pipeline's resilience
-contract:
+serially.  Both paths return a :class:`PipelineResult`.  Beyond the
+happy path, a run owns the pipeline's resilience contract:
 
 - pass a :class:`~repro.faults.plan.FaultConfig` and every simulated
   service call (harvest fetches, genderize, Google Scholar, Semantic
@@ -14,13 +15,14 @@ contract:
 - pass ``engine=EngineConfig(cache_dir=...)`` and every node's outputs
   land in the artifact cache as that node finishes, so rerunning a
   killed run against the same directory re-executes only the nodes
-  that had not finished;
+  (or shards) that had not finished;
 - pass ``validation`` and every stage hand-off runs under the data
   contracts of :mod:`repro.contracts`: violating records are repaired
   or quarantined (``"repair"``), merely recorded (``"audit"``), or
   fail the run fast (``"strict"``), and an end-of-run integrity audit
   checks that counts are conserved — the result lands in
-  :attr:`PipelineResult.contracts`.
+  :attr:`PipelineResult.contracts`.  Sharded runs skip the contracts
+  and refuse ``"strict"``.
 
 With ``FaultConfig(rate=0.0)`` the resilience plumbing is live but
 injects nothing, and the output is bit-identical to the fault-free run.
@@ -28,9 +30,10 @@ injects nothing, and the output is bit-identical to the fault-free run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.contracts.audit import ContractReport
+from repro.contracts.schema import ValidationMode
 from repro.faults.degradation import DegradedCoverage
 from repro.obs.context import NULL as _NULL_OBS
 from repro.obs.context import ObsContext
@@ -39,35 +42,75 @@ from repro.pipeline.config import RunConfig
 from repro.pipeline.dataset import AnalysisDataset
 from repro.pipeline.infer import InferenceOutcome
 from repro.pipeline.link import LinkedData
+from repro.pipeline.sharded import plan_sharded_run
+from repro.synth.config import WorldConfig
+from repro.synth.shards import ShardPlan
 from repro.synth.world import SyntheticWorld
 from repro.util.timing import StageTimer
 
-__all__ = ["PipelineResult", "run_pipeline", "RunConfig"]
+__all__ = [
+    "PipelineResult",
+    "RunConfig",
+    "UnsupportedRunError",
+    "run_pipeline",
+    "run_sharded",
+]
 
 
 @dataclass
 class PipelineResult:
-    """Everything a caller might want from a full run."""
+    """Everything a caller might want from a run, monolithic or sharded.
 
-    world: SyntheticWorld
-    linked: LinkedData
+    ``world``, ``linked`` and ``inference`` are ``None`` on a sharded
+    run, which keeps no whole world; ``plan`` is its shard plan.
+    ``executed_nodes``/``cached_nodes`` name the engine nodes that ran
+    and that were served from the cache.
+    """
+
     dataset: AnalysisDataset
-    inference: InferenceOutcome
-    timer: StageTimer = field(default_factory=StageTimer)
+    coverage: dict[str, float]
+    world_config: WorldConfig
+    timer: StageTimer
     degraded: DegradedCoverage | None = None
     contracts: ContractReport | None = None
     obs: ObsContext | None = None
+    executed_nodes: tuple[str, ...] = ()
+    cached_nodes: tuple[str, ...] = ()
+    world: SyntheticWorld | None = None
+    linked: LinkedData | None = None
+    inference: InferenceOutcome | None = None
+    plan: ShardPlan | None = None
 
     @property
-    def coverage(self) -> dict[str, float]:
-        return self.inference.coverage
+    def researchers(self) -> int:
+        """Unique researchers in the dataset."""
+        return self.dataset.researchers.num_rows
+
+    @property
+    def executed_shards(self) -> int:
+        return sum(1 for n in self.executed_nodes if n.startswith("shard:"))
+
+    @property
+    def shard_cache_hits(self) -> int:
+        return sum(1 for n in self.cached_nodes if n.startswith("shard:"))
+
+    @property
+    def merge_cache_hit(self) -> bool:
+        return "merge" in self.cached_nodes
+
+
+class UnsupportedRunError(ValueError):
+    """A run configuration the pipeline cannot execute yet."""
 
 
 def run_pipeline(
     config: RunConfig | None = None,
     world: SyntheticWorld | None = None,
+    plan: ShardPlan | None = None,
+    *,
+    timer: StageTimer | None = None,
 ) -> PipelineResult:
-    """Build (or reuse) a world and run every pipeline stage.
+    """Run every pipeline stage, monolithic or sharded, on the engine.
 
     ::
 
@@ -75,54 +118,88 @@ def run_pipeline(
 
     optionally with a prebuilt ``world`` (a world is data, not
     configuration, so it stays a separate argument; ``config.world`` is
-    then ignored).  The run executes on the stage-DAG engine
-    (:mod:`repro.engine`): with ``config.engine.workers`` independent
-    stages run concurrently and, with ``config.engine.cache_dir``, every
-    stage whose content-addressed fingerprint hits the artifact cache is
-    served without re-executing its body.
+    then ignored).  ``config.shards``, or a shard ``plan`` (e.g. one
+    edition edited via :meth:`~repro.synth.shards.ShardPlan.with_target`,
+    so only that shard and the merge re-execute against a warm cache),
+    selects the sharded graph.  With ``config.engine.workers``
+    (``config.shard_workers`` for shards) independent nodes run
+    concurrently and, with ``config.engine.cache_dir``, every node whose
+    content-addressed fingerprint hits the artifact cache is served
+    without re-executing its body.  ``timer`` (a fresh
+    :class:`~repro.util.timing.StageTimer` when omitted) receives the
+    stage timings as they finish, so a caller can watch a run.
 
     Strict validation raises
     :class:`~repro.contracts.schema.ContractViolationError` at the first
-    violating record (or failing audit check).  With an observability
-    context on ``config.obs`` every stage runs under a trace span, the
-    faults / contracts / tabular layers feed its metrics registry, and
-    (if the context was built with ``profile=True``) each stage is
-    profiled under cProfile.
+    violating record (or failing audit check); on a sharded run it
+    raises :class:`UnsupportedRunError`.  With an observability context
+    on ``config.obs`` every stage runs under a trace span, the faults /
+    contracts / tabular layers feed its metrics registry, and (if the
+    context was built with ``profile=True``) each stage is profiled
+    under cProfile.
     """
     rc = RunConfig() if config is None else config
     if not isinstance(rc, RunConfig):
         raise TypeError(f"config must be a RunConfig, not {type(rc).__name__}")
-    if rc.shards is not None:
-        raise ValueError(
-            "RunConfig.shards selects the sharded pipeline; "
-            "call repro.pipeline.sharded.run_sharded (repro.api.run_sharded)"
+    sharded = rc.shards is not None or plan is not None
+    if sharded and rc.validation_mode() is ValidationMode.STRICT:
+        raise UnsupportedRunError(
+            "sharded runs do not support strict contract validation yet"
         )
+    kind = "sharded" if sharded else "pipeline"
     octx = rc.obs if rc.obs is not None else _NULL_OBS
     with _obs_use(rc.obs):
         octx.event(
             "run.start",
-            "pipeline",
+            kind,
             engine=rc.engine is not None,
             prebuilt_world=world is not None,
+            shards=rc.shards or 0,
         )
-        result = _run_engine(octx, rc, world)
-        octx.event("run.end", "pipeline", engine=rc.engine is not None)
+        if timer is None:
+            timer = StageTimer(tracer=octx.tracer if octx.enabled else None)
+        if sharded:
+            run, fields, size = _execute_sharded(rc, plan, timer)
+        else:
+            run, fields, size = _execute_monolithic(rc, world, timer)
+        fields["degraded"] = _merge_engine_accounting(fields["degraded"], run)
+        result = PipelineResult(
+            **fields,
+            timer=timer,
+            obs=octx if octx.enabled else None,
+            executed_nodes=tuple(
+                r.node for r in run.results if not r.cache_hit and r.status == "ok"
+            ),
+            cached_nodes=tuple(r.node for r in run.results if r.cache_hit),
+        )
+        if octx.enabled:
+            m = octx.metrics
+            m.set_gauge("pipeline.researchers", result.researchers)
+            m.set_gauge("pipeline.papers", result.dataset.papers.num_rows)
+            m.set_gauge(*size)
+            for name, secs in timer.durations.items():
+                m.set_gauge(f"time.stage.{name}", secs)
+        octx.event(
+            "run.end",
+            kind,
+            executed=len(result.executed_nodes),
+            cache_hits=len(result.cached_nodes),
+        )
         return result
 
 
-def _run_engine(octx, rc: RunConfig, world: SyntheticWorld | None) -> PipelineResult:
-    """Execute the run on the stage-DAG engine (:mod:`repro.engine`)."""
-    # imported lazily: repro.engine.stages imports the stage modules of
-    # this package, so a top-level import here would be circular
-    from repro.engine import (
-        IncompleteRunError,
-        PipelineParams,
-        build_graph,
-        run_dag,
-        world_fingerprint,
-    )
+#: the sharded pipeline's former entry point: every caller sets
+#: ``RunConfig.shards`` (or passes a plan), which selects the sharded graph
+run_sharded = run_pipeline
 
-    timer = StageTimer(tracer=octx.tracer if octx.enabled else None)
+# Each path returns (engine run, its result fields, its size gauge).  The
+# engine is imported lazily: repro.engine.stages imports the stage
+# modules of this package, so a top-level import would be circular.
+
+
+def _execute_monolithic(rc: RunConfig, world: SyntheticWorld | None, timer: StageTimer):
+    from repro.engine import PipelineParams, build_graph, run_dag, world_fingerprint
+
     params = PipelineParams(
         world_config=rc.world,
         policy=rc.policy,
@@ -130,47 +207,56 @@ def _run_engine(octx, rc: RunConfig, world: SyntheticWorld | None) -> PipelineRe
         validation=rc.validation_mode(),
         parallel=rc.parallel,
     )
-    graph = build_graph(params, prebuilt_world=world is not None)
-    seeds: dict = {}
-    seed_digests: dict[str, str] = {}
-    if world is not None:
-        seeds["world"] = world
-        seed_digests["world"] = world_fingerprint(world)
+    seeds = {} if world is None else {"world": world}
     run = run_dag(
-        graph,
+        build_graph(params, prebuilt_world=world is not None),
         params,
         seeds=seeds,
-        seed_digests=seed_digests,
+        seed_digests={name: world_fingerprint(w) for name, w in seeds.items()},
         engine=rc.engine,
         timer=timer,
     )
-
-    # failure isolation kept the DAG alive, but a PipelineResult cannot
-    # exist without these artifacts — surface the accounting instead of
-    # a bare KeyError
-    required = ("world", "linked", "dataset", "inference", "degraded", "contracts")
-    missing = [a for a in required if a not in run.artifacts]
-    if missing:
-        raise IncompleteRunError(run.failed, run.skipped, missing=missing)
-
-    dataset = run["dataset"]
-    if octx.enabled:
-        m = octx.metrics
-        m.set_gauge("pipeline.researchers", dataset.researchers.num_rows)
-        m.set_gauge("pipeline.papers", dataset.papers.num_rows)
-        m.set_gauge("pipeline.editions", len(run["harvested"]))
-        for name, secs in timer.durations.items():
-            m.set_gauge(f"time.stage.{name}", secs)
-    return PipelineResult(
+    _require(run, "world", "linked", "dataset", "inference", "degraded", "contracts")
+    fields = dict(
+        dataset=run["dataset"],
+        coverage=run["inference"].coverage,
+        world_config=run["world"].config,
+        degraded=run["degraded"],
+        contracts=run["contracts"],
         world=run["world"],
         linked=run["linked"],
-        dataset=dataset,
         inference=run["inference"],
-        timer=timer,
-        degraded=_merge_engine_accounting(run["degraded"], run),
-        contracts=run["contracts"],
-        obs=octx if octx.enabled else None,
     )
+    return run, fields, ("pipeline.editions", len(run["harvested"]))
+
+
+def _execute_sharded(rc: RunConfig, plan: ShardPlan | None, timer: StageTimer):
+    """The timer gets two stages, the planning and the whole execution."""
+    from repro.engine import run_dag
+
+    with timer.stage("plan"):
+        wc, plan, graph, params, engine = plan_sharded_run(rc, plan)
+    with timer.stage("execute"):
+        run = run_dag(graph, params, engine=engine)
+    _require(run, "merged")
+    merged = run["merged"]
+    fields = dict(
+        dataset=merged.dataset,
+        coverage=merged.coverage,
+        world_config=wc,
+        degraded=merged.degraded,
+        plan=plan,
+    )
+    return run, fields, ("pipeline.shards", len(plan))
+
+
+def _require(run, *artifacts: str) -> None:
+    """Failure isolation kept the DAG alive, but a result needs these artifacts."""
+    from repro.engine import IncompleteRunError
+
+    missing = [a for a in artifacts if a not in run.artifacts]
+    if missing:
+        raise IncompleteRunError(run.failed, run.skipped, missing=missing)
 
 
 def _merge_engine_accounting(degraded, run) -> DegradedCoverage | None:

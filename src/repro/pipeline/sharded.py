@@ -22,6 +22,10 @@ splits the universe into conference×edition *shards*
   within a shard: same normalized name key ⇒ same researcher, numbered
   by first appearance.  Merge output is byte-identical for any
   shard-worker count.
+
+This module declares the sharded graph; the run itself is started, like
+every run, by :func:`repro.pipeline.runner.run_pipeline`, which builds
+this graph when ``RunConfig.shards`` (or a shard plan) is given.
 """
 
 from __future__ import annotations
@@ -35,18 +39,14 @@ from repro.faults.degradation import DegradedCoverage, FaultStats, LossRecord
 from repro.faults.plan import FaultConfig
 from repro.gender.model import GenderAssignment
 from repro.gender.resolver import GenderResolver, ResolverPolicy
-from repro.obs.context import NULL as _NULL_OBS
-from repro.obs.context import ObsContext
-from repro.obs.context import use as _obs_use
 from repro.pipeline.config import EngineConfig, RunConfig
 from repro.pipeline.dataset import AnalysisDataset
 from repro.synth.config import WorldConfig
 from repro.synth.shards import ShardPlan, ShardSpec
 from repro.tabular import Column, Table, concat_tables
 from repro.tabular.codes import factorize
-from repro.util.timing import StageTimer
 
-__all__ = ["ShardResult", "ShardedRunResult", "run_sharded", "build_shard_graph"]
+__all__ = ["ShardResult", "build_shard_graph", "plan_sharded_run"]
 
 
 # --------------------------------------------------------------------- shards
@@ -363,41 +363,6 @@ def build_shard_graph(plan: ShardPlan, params: ShardParams):
     return graph
 
 
-@dataclass
-class _WorldMeta:
-    """Ledger-facing stand-in for a full world (seed + config only).
-
-    Shards build no SC/ISC case-study editions, so the timeline is empty,
-    as it is for a monolithic world built from a custom roster.
-    """
-
-    seed: int
-    config: WorldConfig
-    timeline: tuple = ()
-
-
-@dataclass
-class ShardedRunResult:
-    """Outcome of :func:`run_sharded` (duck-compatible with the ledger)."""
-
-    dataset: AnalysisDataset
-    coverage: dict[str, float]
-    plan: ShardPlan
-    timer: StageTimer
-    world: _WorldMeta
-    degraded: DegradedCoverage | None = None
-    contracts: None = None
-    obs: ObsContext | None = None
-    shard_cache_hits: int = 0
-    executed_shards: int = 0
-    merge_cache_hit: bool = False
-
-    @property
-    def researchers(self) -> int:
-        """Unique researchers in the merged dataset."""
-        return self.dataset.researchers.num_rows
-
-
 def _normalized_world(rc: RunConfig) -> tuple[WorldConfig, WorldConfig]:
     """(effective, per-shard) world configs for a sharded run."""
     wc = rc.world or WorldConfig()
@@ -407,96 +372,22 @@ def _normalized_world(rc: RunConfig) -> tuple[WorldConfig, WorldConfig]:
     return wc, shard_cfg
 
 
-def run_sharded(
-    config: RunConfig | None = None,
-    plan: ShardPlan | None = None,
-) -> ShardedRunResult:
-    """Run the sharded streaming pipeline and merge deterministically.
+def plan_sharded_run(rc: RunConfig, plan: ShardPlan | None = None):
+    """Everything :func:`~repro.pipeline.runner.run_pipeline` executes.
 
-    The supported calling convention mirrors
-    :func:`~repro.pipeline.runner.run_pipeline`: a single
-    :class:`~repro.pipeline.config.RunConfig`::
-
-        run_sharded(RunConfig(world=WorldConfig(seed=7, scale=4.0,
-                                                years=(2016, 2017, 2018),
-                                                venues=12)))
-
-    optionally with an explicit ``plan`` (e.g. one edition's targets
-    edited via :meth:`~repro.synth.shards.ShardPlan.with_target` — only
-    that shard and the merge re-execute against a warm cache).  Each
-    shard lands in the cache as it finishes, so rerunning an
-    interrupted run against the same ``engine.cache_dir`` executes
-    only the missing shards plus the merge.
-
-    Contract validation is not yet shard-aware: ``validation="strict"``
-    raises, other modes are ignored.  ``shard_workers`` only changes the
-    wall-clock — the merged dataset and its ledger body digest are
-    byte-identical for any worker count.
+    Returns ``(world config, plan, graph, params, engine)``: the
+    effective world configuration, the shard plan (``plan`` or the one
+    the configuration implies), the shard DAG with its parameters, and
+    the engine options with ``rc.shard_workers`` as the worker count.
+    ``shard_workers`` only changes the wall-clock — the merged dataset
+    is byte-identical for any worker count.
     """
-    from repro.engine import IncompleteRunError, run_dag
-
-    rc = RunConfig() if config is None else config
-    if not isinstance(rc, RunConfig):
-        raise TypeError(f"config must be a RunConfig, not {type(rc).__name__}")
-    mode = rc.validation_mode()
-    if mode is not None and mode.value == "strict":
-        raise ValueError(
-            "sharded runs do not support strict contract validation yet"
-        )
-
-    octx = rc.obs if rc.obs is not None else _NULL_OBS
-    with _obs_use(rc.obs):
-        octx.event("run.start", "sharded", shards=rc.shards or 0)
-        timer = StageTimer(tracer=octx.tracer if octx.enabled else None)
-        wc, shard_cfg = _normalized_world(rc)
-        with timer.stage("plan"):
-            if plan is None:
-                plan = ShardPlan.from_config(wc)
-            params = ShardParams(
-                config=shard_cfg,
-                policy=rc.policy,
-                faults=rc.faults,
-                order=plan.keys,
-            )
-            graph = build_shard_graph(plan, params)
-
-        base = rc.engine or EngineConfig()
-        engine = replace(base, workers=rc.shard_workers or base.workers)
-        with timer.stage("execute"):
-            run = run_dag(graph, params, engine=engine, timer=None)
-
-        if "merged" not in run.artifacts:
-            raise IncompleteRunError(run.failed, run.skipped, missing=["merged"])
-        merged: MergedShards = run["merged"]
-
-        shard_results = [r for r in run.results if r.node.startswith("shard:")]
-        merge_results = [r for r in run.results if r.node == "merge"]
-        result = ShardedRunResult(
-            dataset=merged.dataset,
-            coverage=merged.coverage,
-            plan=plan,
-            timer=timer,
-            world=_WorldMeta(seed=wc.seed, config=wc),
-            degraded=merged.degraded,
-            contracts=None,
-            obs=octx if octx.enabled else None,
-            shard_cache_hits=sum(1 for r in shard_results if r.cache_hit),
-            executed_shards=sum(
-                1 for r in shard_results if not r.cache_hit and r.status == "ok"
-            ),
-            merge_cache_hit=any(r.cache_hit for r in merge_results),
-        )
-        if octx.enabled:
-            m = octx.metrics
-            m.set_gauge("pipeline.researchers", result.researchers)
-            m.set_gauge("pipeline.papers", merged.dataset.papers.num_rows)
-            m.set_gauge("pipeline.shards", len(plan))
-            for name, secs in timer.durations.items():
-                m.set_gauge(f"time.stage.{name}", secs)
-        octx.event(
-            "run.end",
-            "sharded",
-            shards=len(plan),
-            cache_hits=result.shard_cache_hits,
-        )
-        return result
+    wc, shard_cfg = _normalized_world(rc)
+    if plan is None:
+        plan = ShardPlan.from_config(wc)
+    params = ShardParams(
+        config=shard_cfg, policy=rc.policy, faults=rc.faults, order=plan.keys
+    )
+    base = rc.engine or EngineConfig()
+    engine = replace(base, workers=rc.shard_workers or base.workers)
+    return wc, plan, build_shard_graph(plan, params), params, engine

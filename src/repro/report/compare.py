@@ -15,6 +15,7 @@ from repro.analysis.visible import visible_report
 from repro.calibration.targets import PAPER_STATS
 from repro.pipeline.dataset import AnalysisDataset
 from repro.pipeline.runner import PipelineResult
+from repro.stats.proportions import Proportion
 from repro.viz.tableprint import format_records
 
 __all__ = ["ComparisonRow", "compare_headlines", "render_comparison"]
@@ -39,7 +40,7 @@ class ComparisonRow:
 
 
 def compare_headlines(result: PipelineResult) -> list[ComparisonRow]:
-    """Measure every headline statistic and pair it with the paper's value."""
+    """Each headline statistic the dataset has, paired with the paper's value."""
     ds = result.dataset
     far = far_report(ds)
     blind = blind_report(ds)
@@ -51,10 +52,10 @@ def compare_headlines(result: PipelineResult) -> list[ComparisonRow]:
     sec = sector_report(ds)
     cov = result.coverage
 
-    rows: list[tuple[str, str, float, float]] = [
+    rows: list[tuple[str, str, float, float | None]] = [
         ("S3.1", "far_overall", PAPER_STATS["S3.1"]["far_overall"], far.overall.pct),
-        ("S3.1", "far_sc", PAPER_STATS["S3.1"]["far_sc"], far.conference("SC").authors.pct),
-        ("S3.1", "far_isc", PAPER_STATS["S3.1"]["far_isc"], far.conference("ISC").authors.pct),
+        ("S3.1", "far_sc", PAPER_STATS["S3.1"]["far_sc"], _pct(far.authors_of("SC"))),
+        ("S3.1", "far_isc", PAPER_STATS["S3.1"]["far_isc"], _pct(far.authors_of("ISC"))),
         ("S3.1", "far_double_blind", PAPER_STATS["S3.1"]["far_double_blind"], blind.authors_double.pct),
         ("S3.1", "far_single_blind", PAPER_STATS["S3.1"]["far_single_blind"], blind.authors_single.pct),
         ("S3.1", "blind_chi2", PAPER_STATS["S3.1"]["blind_chi2"], blind.authors_test.statistic),
@@ -64,7 +65,7 @@ def compare_headlines(result: PipelineResult) -> list[ComparisonRow]:
         ("S3.1", "last_far", PAPER_STATS["S3.1"]["last_far"], far.last_overall.pct),
         ("S3.2", "pc_far", PAPER_STATS["S3.2"]["pc_far"], pc.memberships.pct),
         ("S3.2", "pc_memberships", PAPER_STATS["S3.2"]["pc_memberships"], float(pc.memberships.n + _unknown_pc(ds))),
-        ("S3.2", "sc_pc_far", PAPER_STATS["S3.2"]["sc_pc_far"], pc.by_conference["SC"].pct),
+        ("S3.2", "sc_pc_far", PAPER_STATS["S3.2"]["sc_pc_far"], _pct(pc.by_conference.get("SC"))),
         ("S3.2", "pc_far_excl_sc", PAPER_STATS["S3.2"]["pc_far_excl_sc"], pc.excluding_sc.pct),
         ("S3.2", "zero_women_chair_confs", PAPER_STATS["S3.2"]["zero_women_chair_confs"], float(len(pc.zero_women_chair_confs))),
         ("S3.3", "zero_women_keynote_confs", PAPER_STATS["S3.3"]["zero_women_keynote_confs"], float(len(vis.zero_women_confs["keynote"]))),
@@ -93,7 +94,11 @@ def compare_headlines(result: PipelineResult) -> list[ComparisonRow]:
         ("COVERAGE", "unknown_pct", PAPER_STATS["COVERAGE"]["unknown_pct"], 100 * cov["none"]),
         ("COVERAGE", "gs_coverage_known", PAPER_STATS["COVERAGE"]["gs_coverage_known"], 100 * exp.gs_coverage_known_gender),
     ]
-    return [ComparisonRow(e, s, p, m) for e, s, p, m in rows]
+    return [ComparisonRow(e, s, p, m) for e, s, p, m in rows if m is not None]
+
+
+def _pct(share: Proportion | None) -> float | None:
+    return None if share is None else share.pct
 
 
 def _unknown_pc(ds: AnalysisDataset) -> int:

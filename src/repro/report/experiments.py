@@ -49,11 +49,6 @@ def _f(fig_builder):
     return run
 
 
-def _authors_at(far, name: str) -> str:
-    """A venue's author share, ``n/a`` when the dataset lacks the venue."""
-    return next((str(c.authors) for c in far.by_conference if c.conference == name), "n/a")
-
-
 def _headline(result: PipelineResult):
     ds = result.dataset
     far = far_report(ds)
@@ -61,8 +56,8 @@ def _headline(result: PipelineResult):
     pc = pc_report(ds)
     lines = [
         f"FAR overall: {far.overall} (paper: 9.9%)",
-        f"FAR SC: {_authors_at(far, 'SC')} (paper: 8.12%)",
-        f"FAR ISC: {_authors_at(far, 'ISC')} (paper: 5.77%)",
+        f"FAR SC: {far.authors_of('SC') or 'n/a'} (paper: 8.12%)",
+        f"FAR ISC: {far.authors_of('ISC') or 'n/a'} (paper: 5.77%)",
         f"double-blind {blind.authors_double} vs single-blind {blind.authors_single} "
         f"(chi2={blind.authors_test.statistic:.3f}, p={blind.authors_test.p_value:.4f}; "
         "paper: 7.57% vs 10.52%, chi2=3.133, p=0.0767)",
@@ -105,7 +100,8 @@ def _hpc(result: PipelineResult):
 
 
 def _casestudy(result: PipelineResult):
-    cs = casestudy_report(result.world.timeline)
+    # a sharded run builds no SC/ISC timeline: it reports as an empty one
+    cs = casestudy_report(result.world.timeline if result.world is not None else [])
     lines = []
     for conf, points in cs.series.items():
         series = ", ".join(f"{p.year}:{100*p.far:.1f}%" for p in points)

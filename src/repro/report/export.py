@@ -71,8 +71,8 @@ def export_artifact(result: PipelineResult, out_dir: str | Path) -> Path:
 
     manifest = {
         "version": __version__,
-        "seed": result.world.seed,
-        "scale": result.world.config.scale,
+        "seed": result.world_config.seed,
+        "scale": result.world_config.scale,
         "researchers": ds.researchers.num_rows,
         "papers": ds.papers.num_rows,
         "coverage": result.coverage,
@@ -94,7 +94,7 @@ def export_artifact(result: PipelineResult, out_dir: str | Path) -> Path:
             result.obs.metrics,
             out / "metrics.json",
             timing=dict(result.timer.durations),
-            meta={"version": __version__, "seed": result.world.seed},
+            meta={"version": __version__, "seed": result.world_config.seed},
         )
         manifest["trace"] = "trace.json"
         manifest["metrics"] = "metrics.json"

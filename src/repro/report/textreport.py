@@ -50,7 +50,7 @@ def full_report(result: PipelineResult) -> str:
     add = lines.append
     add(f"# Reproduction run report (repro {__version__})")
     add("")
-    add(f"- seed: {result.world.seed}, scale: {result.world.config.scale}")
+    add(f"- seed: {result.world_config.seed}, scale: {result.world_config.scale}")
     add(f"- researchers: {ds.researchers.num_rows}, papers: {ds.papers.num_rows}")
     add(f"- pipeline wall time: {result.timer.total() * 1e3:.0f} ms")
     add("")
@@ -64,7 +64,7 @@ def full_report(result: PipelineResult) -> str:
     add("## Authors (§3.1)")
     add("")
     add(f"- FAR overall: **{far.overall}** (paper 9.9%)")
-    add(f"- SC {far.conference('SC').authors}, ISC {far.conference('ISC').authors}")
+    add(f"- SC {far.authors_of('SC') or 'n/a'}, ISC {far.authors_of('ISC') or 'n/a'}")
     add(f"- double-blind {blind.authors_double} vs single-blind "
         f"{blind.authors_single} (χ²={blind.authors_test.statistic:.2f}, "
         f"p={blind.authors_test.p_value:.3f})")
@@ -73,7 +73,7 @@ def full_report(result: PipelineResult) -> str:
 
     add("## Committees and visible roles (§3.2–§3.3)")
     add("")
-    add(f"- PC memberships: {pc.memberships} (SC: {pc.by_conference['SC']}; "
+    add(f"- PC memberships: {pc.memberships} (SC: {pc.by_conference.get('SC', 'n/a')}; "
         f"excluding SC: {pc.excluding_sc})")
     add(f"- zero-women PC chairs: {', '.join(pc.zero_women_chair_confs) or 'none'}")
     add(f"- zero-women session chairs: "
@@ -101,8 +101,11 @@ def full_report(result: PipelineResult) -> str:
         f"{_pct(sec.sector_shares['EDU'], 1)} / GOV {_pct(sec.sector_shares['GOV'], 1)}")
     add("")
 
-    if result.world.timeline:
-        cs = casestudy_report(result.world.timeline)
+    # the case study and the survey read the world, which a sharded run
+    # does not keep (its shards build no SC/ISC timeline either)
+    world = result.world
+    if world is not None and world.timeline:
+        cs = casestudy_report(world.timeline)
         add("## SC/ISC case study (§3.4)")
         add("")
         for conf, (lo, hi) in cs.far_range.items():
@@ -115,30 +118,27 @@ def full_report(result: PipelineResult) -> str:
         f"**{sens.all_stable}**")
     add("")
 
-    # survey validation (§2's "no discrepancies" check)
-    from repro.names.parsing import name_key
-    from repro.survey import AuthorSurvey, validate_assignments
+    if world is not None:  # survey validation (§2's "no discrepancies" check)
+        from repro.names.parsing import name_key
+        from repro.survey import AuthorSurvey, validate_assignments
 
-    survey = AuthorSurvey(result.world.registry, seed=result.world.seed)
-    responses = survey.run()
-    id_map = {
-        rec.name_key: rid for rid, rec in result.linked.researchers.items()
-    }
-    mapping = {}
-    for resp in responses:
-        person = result.world.registry.people[resp.person_id]
-        rid = id_map.get(name_key(person.full_name))
-        if rid:
-            mapping[resp.person_id] = rid
-    val = validate_assignments(responses, ds.assignments, mapping)
-    add("## Author-survey validation (§2)")
-    add("")
-    add(f"- responses: {val.n_responses}; checked: {val.n_checked}; "
-        f"agreement: {_pct(val.agreement_rate)}; discrepancies: "
-        f"{len(val.discrepancies)} (paper: none)")
-    add(f"- detectability floor (3/n): error rates below "
-        f"{_pct(val.detectable_rate, 1)} would likely go unnoticed")
-    add("")
+        responses = AuthorSurvey(world.registry, seed=world.seed).run()
+        id_map = {rec.name_key: rid for rid, rec in result.linked.researchers.items()}
+        mapping = {}
+        for resp in responses:
+            person = world.registry.people[resp.person_id]
+            rid = id_map.get(name_key(person.full_name))
+            if rid:
+                mapping[resp.person_id] = rid
+        val = validate_assignments(responses, ds.assignments, mapping)
+        add("## Author-survey validation (§2)")
+        add("")
+        add(f"- responses: {val.n_responses}; checked: {val.n_checked}; "
+            f"agreement: {_pct(val.agreement_rate)}; discrepancies: "
+            f"{len(val.discrepancies)} (paper: none)")
+        add(f"- detectability floor (3/n): error rates below "
+            f"{_pct(val.detectable_rate, 1)} would likely go unnoticed")
+        add("")
 
     add("## Tables")
     for build in (build_table1, build_table2, build_table3):

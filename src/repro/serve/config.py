@@ -32,7 +32,8 @@ class ServeConfig:
         Defaults for queries that omit ``?seed=``/``?scale=``.
     shards / shard_workers:
         When ``shards`` is set, analysis queries run the sharded
-        streaming pipeline (:func:`repro.pipeline.sharded.run_sharded`)
+        streaming pipeline (:mod:`repro.pipeline.sharded`, started by
+        :func:`~repro.pipeline.runner.run_pipeline` like every run)
         with that venue count instead of the monolithic engine DAG;
         ``shard_workers`` bounds concurrent shard execution.  Queries
         route through :meth:`repro.pipeline.config.RunConfig.for_query`,

@@ -47,6 +47,7 @@ from repro.faults.chaos import ChaosKind, ChaosPlan
 from repro.faults.errors import CircuitOpenError
 from repro.obs.events import EventLog
 from repro.pipeline.config import RunConfig
+from repro.pipeline.runner import run_pipeline
 from repro.serve.config import ServeConfig
 from repro.serve.encode import (
     blind_payload,
@@ -478,24 +479,15 @@ class AnalysisService:
         return fl.result, fl.source
 
     def _compute(self, rc: RunConfig, fp: str, fl: _InFlight) -> None:
-        """Cold path, run in its own thread so deadlines can expire past it."""
-        # engine imports are lazy for the same cycle reasons as the
-        # pipeline runner's (_run_engine)
-        from repro.engine import PipelineParams, build_graph, run_dag
+        """Cold path, run in its own thread so deadlines can expire past it.
 
+        The run records its stages on the in-flight timer, which is what
+        a request whose deadline expires reports as completed.
+        """
         try:
-            if rc.shards is not None:
-                from repro.pipeline.sharded import run_sharded
-
-                res = run_sharded(rc)
-                ds = res.dataset
-                executed = res.executed_shards + (0 if res.merge_cache_hit else 1)
-            else:
-                params = PipelineParams(world_config=rc.world)
-                graph = build_graph(params)
-                run = run_dag(graph, params, engine=rc.engine, timer=fl.timer)
-                ds = run["dataset"]
-                executed = run.executed
+            res = run_pipeline(rc, timer=fl.timer)
+            ds = res.dataset
+            executed = len(res.executed_nodes)
         except Exception as exc:
             with self._lock:
                 fl.error = f"{type(exc).__name__}: {exc}"

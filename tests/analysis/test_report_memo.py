@@ -84,11 +84,10 @@ def test_memoized_reports_equal_fresh_computations(name, small_result, sharded_r
 
 def test_memo_key_applies_defaults(small_result):
     ds = fresh(small_result.dataset)
-    rep = geography_report(ds)
-    assert geography_report(ds, 10) is rep
-    assert geography_report(ds, fig7_min_authors=10) is rep
-    assert geography_report(ds, 11) is not rep
-    assert reception_report(ds, outlier_threshold=100) is reception_report(ds)
+    rep = reception_report(ds)
+    assert reception_report(ds, 100) is rep
+    assert reception_report(ds, outlier_threshold=100) is rep
+    assert reception_report(ds, 101) is not rep
 
 
 def test_experiments_leave_pickle_bytes_equality_and_digest(small_result):

@@ -197,6 +197,68 @@ class TestDeadline:
         assert r.status == 504
 
 
+    def test_sharded_cold_run_reports_its_completed_stages(self, tmp_path, monkeypatch):
+        """The sharded cold run records on the in-flight timer too: with
+        the merge held, a request past its budget sees the finished
+        planning stage (the list used to stay empty on this path)."""
+        import repro.pipeline.sharded as sharded
+
+        gate = threading.Event()
+        real = sharded.stage_merge
+
+        def held_merge(params, inputs):
+            gate.wait(30)
+            return real(params, inputs)
+
+        monkeypatch.setattr(sharded, "stage_merge", held_merge)
+        service = make_service(tmp_path, shards=2)
+        try:
+            r = service.handle("/v1/far", {"seed": "43", "deadline": "1"})
+        finally:
+            gate.set()
+        assert r.status == 504
+        assert body_of(r)["error"]["partial"]["stages_completed"] == ["plan"]
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            retry = service.handle("/v1/far", {"seed": "43"})
+            if retry.status == 200:
+                break
+            time.sleep(0.05)
+        assert retry.status == 200
+
+
+class TestCrossPath:
+    """Serving a query and calling ``run_pipeline`` are one computation."""
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_far_body_equals_run_pipeline_far_cells(self, tmp_path, shards):
+        from repro.analysis.far import far_report
+        from repro.pipeline import RunConfig, run_pipeline
+        from repro.serve.encode import canonical_json, far_payload
+
+        r = make_service(tmp_path, shards=shards).handle("/v1/far", {})
+        assert r.status == 200
+        rc = RunConfig.for_query(7, SCALE, shards=shards)
+        result = run_pipeline(rc)
+        expected = far_payload(far_report(result.dataset), 7, SCALE, rc.fingerprint())
+        assert r.body == canonical_json(expected)
+        assert (result.plan is not None) == (shards is not None)
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_cold_path_writes_run_pipelines_cache_entries(self, tmp_path, shards):
+        """Same engine fingerprints: the served run and a direct run
+        address the same cache entries, node for node."""
+        from repro.engine import ArtifactCache
+        from repro.pipeline import RunConfig, run_pipeline
+
+        served, direct = tmp_path / "served", tmp_path / "direct"
+        service = make_service(tmp_path, cache_dir=str(served), shards=shards)
+        assert service.handle("/v1/far", {}).status == 200
+        run_pipeline(RunConfig.for_query(7, SCALE, shards=shards, cache_dir=str(direct)))
+        entries = ArtifactCache(served).entries()
+        assert entries and entries == ArtifactCache(direct).entries()
+
+
 class TestCircuitBreaker:
     def test_poisoned_config_degrades_to_fast_503(self, tmp_path, monkeypatch):
         import repro.engine as engine

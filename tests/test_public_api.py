@@ -91,7 +91,6 @@ API_SURFACE = [
     "ShardSpec",
     # results
     "PipelineResult",
-    "ShardedRunResult",
     "AnalysisDataset",
     "SyntheticWorld",
     "DegradedCoverage",
@@ -118,6 +117,8 @@ def test_api_facade_matches_internal_objects():
     import repro.api
 
     assert repro.api.run_pipeline is repro.run_pipeline
+    # one entry point: the sharded spelling is the same function
+    assert repro.api.run_sharded is repro.api.run_pipeline
     assert repro.api.RunConfig is repro.RunConfig
     assert repro.api.WorldConfig is repro.WorldConfig
 

@@ -16,8 +16,13 @@ The scientific claims this suite pins:
 """
 
 import hashlib
+import json
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,7 @@ from repro.api import (
     DegradedCoverage,
     EngineConfig,
     FaultConfig,
+    ObsContext,
     RunConfig,
     ShardPlan,
     ShardSpec,
@@ -200,9 +206,35 @@ def test_editing_one_edition_reexecutes_exactly_that_shard(tmp_path):
     assert not partial.merge_cache_hit
 
 
-def test_run_pipeline_refuses_sharded_configs():
-    with pytest.raises(ValueError, match="run_sharded"):
-        run_pipeline(RunConfig(world=WorldConfig(seed=1), shards=2))
+def test_run_pipeline_runs_sharded_configs():
+    rc = RunConfig(world=SMALL, shards=3, obs=ObsContext(seed=9))
+    via_pipeline = run_pipeline(rc)
+    via_sharded = run_sharded(replace(rc, obs=ObsContext(seed=9)))
+    assert via_pipeline.plan == via_sharded.plan
+    assert (via_pipeline.world, via_pipeline.linked, via_pipeline.inference) == (
+        None, None, None
+    )
+    assert via_pipeline.world_config == SMALL
+    assert build_run_record(via_pipeline, config=rc).body == (
+        build_run_record(via_sharded, config=rc).body
+    )
+
+
+@pytest.mark.chaos
+def test_supervised_sharded_run_folds_engine_retries_into_degraded():
+    """Shard nodes the supervisor retried are accounted in ``degraded``,
+    as on the monolithic path; the science does not move."""
+    from repro.faults.chaos import ChaosConfig
+    from repro.obs.ledger import scientific_cells
+
+    plain = run_pipeline(RunConfig(world=SMALL, shards=3))
+    chaos = EngineConfig(chaos=ChaosConfig(rate=0.3, seed=1))
+    healed = run_pipeline(RunConfig(world=SMALL, shards=3, engine=chaos))
+    assert plain.degraded is None
+    assert healed.degraded.node_retries >= 1
+    assert healed.degraded.virtual_time > 0.0
+    assert (healed.degraded.failed_nodes, healed.degraded.skipped_nodes) == ((), ())
+    assert scientific_cells(healed) == scientific_cells(plain)
 
 
 def test_run_sharded_refuses_strict_validation():
@@ -231,6 +263,51 @@ def test_cli_accepts_shards_before_and_after_subcommand():
         assert rc.shards == 3
         assert rc.shard_workers == 2
         assert rc.world.venues == 3
+
+
+def test_cli_report_compare_and_export_run_on_shards(tmp_path, capsys):
+    """A sharded dataset has no SC or ISC and a sharded run keeps no world:
+    the SC/ISC cells print ``n/a``, their comparison rows are left out,
+    and the survey and case-study sections are skipped."""
+    from repro.cli import main
+
+    base = ["--seed", "5", "--scale", "0.25", "--shards", "2"]
+    assert main([*base, "report"]) == 0
+    report = capsys.readouterr().out
+    assert "- SC n/a, ISC n/a" in report
+    assert "(SC: n/a; excluding SC:" in report
+    assert "## Author-survey validation" not in report
+    assert "## SC/ISC case study" not in report
+    assert "## Agreement with the paper" in report
+
+    assert main([*base, "compare"]) == 0
+    compare = capsys.readouterr().out
+    assert "far_overall" in compare and "pc_far_excl_sc" in compare
+    for absent in ("far_sc ", "far_isc ", "sc_pc_far "):
+        assert absent not in compare
+
+    bundle = tmp_path / "bundle"
+    assert main([*base, "export", str(bundle)]) == 0
+    manifest = json.loads((bundle / "MANIFEST.json").read_text(encoding="utf-8"))
+    assert (manifest["seed"], manifest["scale"]) == (5, 0.25)
+    assert len(manifest["artifacts"]) == 17
+    assert ",far_sc," not in (bundle / "comparison.csv").read_text(encoding="utf-8")
+
+
+def test_cli_refuses_strict_validation_with_shards():
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "--validate", "strict", "--shards", "2", "run"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": "src"},
+        cwd=str(Path(__file__).resolve().parents[1]),
+        timeout=120,
+    )
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "repro: sharded runs do not support strict contract validation yet"
+    ]
 
 
 def test_serve_config_carries_sharding_through_for_query():
