@@ -76,10 +76,11 @@ chaos:
 # the standing determinism check: two identical-seed ledgered runs must
 # show zero scientific drift (the sentinel exits non-zero on any drifted
 # cell; the generous timing threshold keeps machine noise out of it) --
-# once on the monolithic path and once on the sharded one, each pair in
-# its own obs dir
+# once on the monolithic path, once on the sharded one, and once as a
+# cold/warm pair over one artifact cache (the warm run reads only what
+# it needs from the cache), each pair in its own obs dir
 regress:
-	rm -rf out/regress out/regress-sharded
+	rm -rf out/regress out/regress-sharded out/regress-cached out/regress-cache
 	$(PYTHON) -m repro --ledger --obs-dir out/regress --seed 7 --scale 0.25 run
 	$(PYTHON) -m repro --ledger --obs-dir out/regress --seed 7 --scale 0.25 run
 	$(PYTHON) -m repro --obs-dir out/regress runs diff
@@ -88,6 +89,10 @@ regress:
 	$(PYTHON) -m repro --ledger --obs-dir out/regress-sharded --seed 7 --scale 0.25 --shards 4 run
 	$(PYTHON) -m repro --obs-dir out/regress-sharded runs diff
 	$(PYTHON) -m repro --obs-dir out/regress-sharded runs regress --threshold 3.0
+	$(PYTHON) -m repro --ledger --obs-dir out/regress-cached --cache-dir out/regress-cache --seed 7 --scale 0.25 run
+	$(PYTHON) -m repro --ledger --obs-dir out/regress-cached --cache-dir out/regress-cache --seed 7 --scale 0.25 run
+	$(PYTHON) -m repro --obs-dir out/regress-cached runs diff
+	$(PYTHON) -m repro --obs-dir out/regress-cached runs regress --threshold 3.0
 
 # cold run populates the artifact cache; the repeat run is served
 # entirely from it (every stage line reports "(cache hit)")

@@ -16,6 +16,7 @@ __all__ = [
     "women_share",
     "share_of",
     "mask_eq",
+    "mask_flag",
     "venues",
     "memoized",
     "tally_by",
@@ -76,6 +77,12 @@ def mask_eq(table: Table, column: str, value) -> np.ndarray:
     if not isinstance(eq, np.ndarray):  # empty or degenerate comparison
         return np.zeros(table.num_rows, dtype=bool)
     return eq.astype(bool)
+
+
+def mask_flag(table: Table, column: str) -> np.ndarray:
+    """Boolean mask of rows whose column is truthy (``bool(x)`` per row)."""
+    # an object array converts each element by its truth value in C
+    return np.asarray(table[column], dtype=bool)
 
 
 def share_of(table: Table, column: str, value) -> Proportion:

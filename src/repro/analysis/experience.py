@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import mask_eq, memoized
+from repro.analysis.common import mask_eq, mask_flag, memoized
 from repro.pipeline.dataset import AnalysisDataset
 from repro.stats.chisquare import Chi2Result, chi2_contingency, chi2_two_proportions
 from repro.stats.correlation import CorrelationResult, pearson
@@ -59,54 +59,52 @@ class ExperienceReport:
     bands_test: Chi2Result      # full 3x2 contingency over author bands
 
 
-def _series(table, col: str) -> np.ndarray:
-    return table[col].astype(np.float64)
+def _series(table, col: str, rows: np.ndarray) -> np.ndarray:
+    return table[col][rows].astype(np.float64)
 
 
 @memoized
 def experience_report(ds: AnalysisDataset) -> ExperienceReport:
     """Compute §5.1 over an analysis dataset."""
     r = ds.researchers
-    known = r.filter(lambda t: ~t.col("gender").is_missing())
-    has_gs = np.array([bool(x) for x in known["has_gs"]], dtype=bool)
-    coverage = float(has_gs.mean()) if known.num_rows else float("nan")
+    known = ~r.col("gender").is_missing()
+    has_gs = mask_flag(r, "has_gs")[known]
+    coverage = float(has_gs.mean()) if has_gs.size else float("nan")
 
-    corr = pearson(_series(known, "gs_pubs"), _series(known, "s2_pubs"))
+    corr = pearson(_series(r, "gs_pubs", known), _series(r, "s2_pubs", known))
 
-    groups: list[GroupDistribution] = []
+    # the rows of each (role, gender) cell, built once for Figs. 3–6
+    cells: dict[tuple[str, str], np.ndarray] = {}
     for role, role_mask_col in (("author", "is_author"), ("pc", "is_pc")):
+        in_role = mask_flag(r, role_mask_col) & known
         for gender in ("F", "M"):
-            sub = known.filter(
-                lambda t: np.array([bool(x) for x in t[role_mask_col]], dtype=bool)
-                & mask_eq(t, "gender", gender)
-            )
-            groups.append(
-                GroupDistribution(
-                    role=role,
-                    gender=gender,
-                    gs_pubs=describe(_series(sub, "gs_pubs")),
-                    gs_h=describe(_series(sub, "gs_h")),
-                    s2_pubs=describe(_series(sub, "s2_pubs")),
-                )
-            )
+            cells[(role, gender)] = in_role & mask_eq(r, "gender", gender)
 
-    # Fig. 6: bands over researchers with known h
+    groups = [
+        GroupDistribution(
+            role=role,
+            gender=gender,
+            gs_pubs=describe(_series(r, "gs_pubs", rows)),
+            gs_h=describe(_series(r, "gs_h", rows)),
+            s2_pubs=describe(_series(r, "s2_pubs", rows)),
+        )
+        for (role, gender), rows in cells.items()
+    ]
+
+    # Fig. 6: bands over researchers with known h (band_of_h's cut points)
     band_shares: dict[tuple[str, str], dict[str, float]] = {}
     band_counts: dict[tuple[str, str], dict[str, int]] = {}
-    for role, role_mask_col in (("author", "is_author"), ("pc", "is_pc")):
-        for gender in ("F", "M"):
-            sub = known.filter(
-                lambda t: np.array([bool(x) for x in t[role_mask_col]], dtype=bool)
-                & mask_eq(t, "gender", gender)
-            )
-            h = _series(sub, "gs_h")
-            h = h[~np.isnan(h)]
-            counts = {"novice": 0, "mid-career": 0, "experienced": 0}
-            for value in h:
-                counts[band_of_h(float(value))] += 1
-            total = max(1, int(h.size))
-            band_counts[(role, gender)] = counts
-            band_shares[(role, gender)] = {k: v / total for k, v in counts.items()}
+    for cell, rows in cells.items():
+        h = _series(r, "gs_h", rows)
+        h = h[~np.isnan(h)]
+        counts = {
+            "novice": int(np.count_nonzero(h < 13)),
+            "mid-career": int(np.count_nonzero((h >= 13) & (h <= 18))),
+            "experienced": int(np.count_nonzero(h > 18)),
+        }
+        total = max(1, int(h.size))
+        band_counts[cell] = counts
+        band_shares[cell] = {k: v / total for k, v in counts.items()}
 
     f_counts = band_counts[("author", "F")]
     m_counts = band_counts[("author", "M")]

@@ -13,16 +13,28 @@ Keys are content-addressed, so one cache directory serves any number of
 distinct runs — different seeds, scales, policies — side by side; a
 changed config simply misses and materializes new entries.
 
+Each entry's payload is a pickled ``{output name: pickled bytes}`` map:
+every output of the node is pickled on its own, so
+``load(node, key, outputs=...)`` unpickles only the outputs a caller
+reads.  The executor uses that to load on read — a warm run unpickles
+the outputs its caller wants and those a re-executing node consumes,
+and leaves the rest on disk (see :mod:`repro.engine.executor`).
+
 The cache is **self-healing**.  Every entry is stored as an envelope
 ``{key, digest, payload}`` where ``digest`` is SHA-256 over the pickled
-payload, and every load verifies the envelope before serving it.  A
-torn, bit-flipped, or foreign entry is moved to a ``quarantine/``
-subdirectory — preserved for forensics, out of the cache's namespace —
-and reported as a **miss** (``KeyError``), never an abort: the caller
-simply recomputes and overwrites, which is how a damaged cache heals to
-100% over a clean rerun.  Saves take a cross-process advisory lock
-(``.lock``, ``fcntl.flock`` where available) so two runs sharing a
-directory serialize their writes.
+payload, and every load verifies the envelope before serving it — the
+whole payload, whichever outputs it unpickles.  A torn, bit-flipped, or
+foreign entry is moved to a ``quarantine/`` subdirectory — preserved
+for forensics, out of the cache's namespace — and reported as a
+**miss** (``KeyError``), never an abort: the caller simply recomputes
+and overwrites.  An entry heals when a run reads it; an entry no run
+reads stays on disk, damaged or not, until :meth:`ArtifactCache.verify`
+(``repro cache verify``) checks every entry and every output.  Saves
+take a cross-process advisory lock (``.lock``, ``fcntl.flock`` where
+available) so two runs sharing a directory serialize their writes.
+
+A directory written by an older entry format is refused with
+:class:`CacheMismatch`; point the run at a fresh directory.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.engine.fingerprint import ENGINE_SCHEMA
 from repro.obs.context import current as _obs
@@ -54,13 +66,25 @@ __all__ = [
 # identifies the cache directory layout + pickle protocol discipline;
 # bump on incompatible change so old directories are refused, not
 # misread.  "entry" versions the per-entry envelope: v2 added the
-# payload digest + quarantine lifecycle (schema stays ENGINE_SCHEMA —
-# fingerprints did not change, only the storage wrapper did).
-CACHE_FORMAT = {"format": "repro-engine-cache", "schema": ENGINE_SCHEMA, "entry": 2}
+# payload digest + quarantine lifecycle, v3 made the payload a map of
+# per-output pickles (schema stays ENGINE_SCHEMA — fingerprints did not
+# change, only the storage wrapper did).
+CACHE_FORMAT = {"format": "repro-engine-cache", "schema": ENGINE_SCHEMA, "entry": 3}
 
 META = "meta.json"
 QUARANTINE_DIR = "quarantine"
 _ENVELOPE_KEYS = {"key", "digest", "payload"}
+
+
+def _payload_fault(envelope: dict) -> str | None:
+    """``"digest-mismatch"`` unless the payload is bytes matching its digest."""
+    payload = envelope["payload"]
+    if (
+        not isinstance(payload, bytes)
+        or hashlib.sha256(payload).hexdigest() != envelope["digest"]
+    ):
+        return "digest-mismatch"
+    return None
 
 
 class CacheMismatch(ValueError):
@@ -187,13 +211,17 @@ class ArtifactCache:
     def has(self, node: str, key: str) -> bool:
         return self.entry_path(node, key).exists()
 
-    def load(self, node: str, key: str) -> dict[str, Any]:
-        """Load one node's output dict; raises ``KeyError`` on a miss.
+    def load(
+        self, node: str, key: str, outputs: Iterable[str] | None = None
+    ) -> dict[str, Any]:
+        """Load one node's outputs; raises ``KeyError`` on a miss.
 
-        A corrupt entry — torn write, flipped bits, foreign pickle — is
-        quarantined and reported as a miss.  This method never raises
-        anything but ``KeyError``: a damaged cache can cost recompute
-        time, never a run.
+        ``outputs`` names the outputs to unpickle (default: all of
+        them); the others stay as bytes.  A corrupt entry — torn write,
+        flipped bits, foreign pickle, a missing output — is quarantined
+        and reported as a miss.  This method never raises anything but
+        ``KeyError``: a damaged cache can cost recompute time, never a
+        run.
         """
         entry = self._entry(node, key)
         path = self.entry_path(node, key)
@@ -208,11 +236,6 @@ class ArtifactCache:
             # torn write or foreign bytes: unpickling the envelope failed
             self._quarantine(entry, node, "unreadable")
             raise KeyError(f"quarantined unreadable entry for node {node!r}")
-        return self._verified_outputs(entry, node, key, envelope)
-
-    def _verified_outputs(
-        self, entry: str, node: str, key: str, envelope: Any
-    ) -> dict[str, Any]:
         if not isinstance(envelope, dict) or not _ENVELOPE_KEYS <= set(envelope):
             self._quarantine(entry, node, "malformed-envelope")
             raise KeyError(f"quarantined malformed entry for node {node!r}")
@@ -221,21 +244,21 @@ class ArtifactCache:
             # *well-formed* entry for a different key.  A miss — but not
             # corruption, so the other run's entry stays where it is.
             raise KeyError(f"cache entry for node {node!r} does not match key")
-        payload = envelope["payload"]
-        if (
-            not isinstance(payload, bytes)
-            or hashlib.sha256(payload).hexdigest() != envelope["digest"]
-        ):
-            self._quarantine(entry, node, "digest-mismatch")
-            raise KeyError(f"quarantined corrupt entry for node {node!r}")
-        try:
-            return pickle.loads(payload)
-        except Exception:
-            self._quarantine(entry, node, "unpicklable-payload")
-            raise KeyError(f"quarantined unpicklable entry for node {node!r}")
+        reason = _payload_fault(envelope)
+        if reason is None:
+            try:
+                parts = pickle.loads(envelope["payload"])
+                names = parts if outputs is None else outputs
+                return {name: pickle.loads(parts[name]) for name in names}
+            except Exception:
+                reason = "unpicklable-payload"
+        self._quarantine(entry, node, reason)
+        raise KeyError(f"quarantined {reason} entry for node {node!r}")
 
     def save(self, node: str, key: str, outputs: dict[str, Any]) -> None:
-        payload = pickle.dumps(outputs)
+        payload = pickle.dumps(
+            {name: pickle.dumps(value) for name, value in outputs.items()}
+        )
         envelope = {
             "key": key,
             "digest": hashlib.sha256(payload).hexdigest(),
@@ -316,14 +339,13 @@ class ArtifactCache:
         key = envelope["key"]
         if not isinstance(key, str) or not entry.endswith(key[:24]):
             return "key-mismatch"
-        payload = envelope["payload"]
-        if (
-            not isinstance(payload, bytes)
-            or hashlib.sha256(payload).hexdigest() != envelope["digest"]
-        ):
-            return "digest-mismatch"
+        reason = _payload_fault(envelope)
+        if reason is not None:
+            return reason
         try:
-            pickle.loads(payload)
+            # every output, not just the ones some run happens to read
+            for part in pickle.loads(envelope["payload"]).values():
+                pickle.loads(part)
         except Exception:
             return "unpicklable-payload"
         return None

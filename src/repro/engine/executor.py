@@ -1,13 +1,17 @@
 """The engine: fingerprint, schedule, cache, execute.
 
-``run_dag`` walks a :class:`~repro.engine.dag.StageGraph` in
-topological generations.  For every node it derives a content-addressed
-key — SHA-256 over the node's declared params, its code version, and
-the keys of its upstream outputs (seed artifacts contribute their own
-digests, e.g. the world fingerprint) — and then either
+``run_dag`` first derives every node's content-addressed key —
+SHA-256 over the node's declared params, its code version, and the
+keys of its upstream outputs (seed artifacts contribute their own
+digests, e.g. the world fingerprint) — which needs no artifact at all.
+It then walks the :class:`~repro.engine.dag.StageGraph` in topological
+generations and either
 
 - **serves the node from cache** (``engine.cache.hits``; the node body
-  never runs, its span carries ``cache_hit=True``), or
+  never runs, its span carries ``cache_hit=True``), unpickling only the
+  outputs that are read: those the caller names in ``want`` and those
+  a node that executes consumes — a node none of whose outputs are read
+  is counted as a hit without being loaded (see :class:`_Execution`), or
 - **executes it** (``engine.cache.misses``), concurrently with the rest
   of its generation when an :class:`EngineConfig` requests workers —
   via the same deterministic ``parallel_map`` pool the ingest stage
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from repro.engine.cache import ArtifactCache, CacheWriteError
 from repro.engine.dag import StageGraph
@@ -56,7 +60,9 @@ __all__ = ["EngineConfig", "EngineRun", "run_dag"]
 class EngineRun:
     """Artifacts plus per-node accounting for one DAG execution.
 
-    ``failed`` maps exhausted nodes to their final error; ``skipped``
+    ``artifacts`` holds what the run produced or read: with ``want``,
+    a cached node's unread outputs are absent (its ``results`` entry is
+    still a hit).  ``failed`` maps exhausted nodes to their final error; ``skipped``
     maps nodes that never ran to the upstream artifacts that blocked
     them.  Both are empty on an unsupervised run (failures abort
     instead).  ``retries`` and ``virtual_time`` come from the
@@ -110,19 +116,6 @@ def _node_task(task: tuple) -> dict[str, Any]:
     return outputs
 
 
-def _tasks(run: EngineRun, nodes, keys, params, cache) -> list[tuple]:
-    return [
-        (
-            node,
-            params,
-            {a: run.artifacts[a] for a in node.inputs},
-            cache if node.cacheable else None,
-            keys[node.name],
-        )
-        for node in nodes
-    ]
-
-
 def run_dag(
     graph: StageGraph,
     params: Any,
@@ -130,42 +123,58 @@ def run_dag(
     seed_digests: dict[str, str] | None = None,
     engine: EngineConfig | None = None,
     timer: Any | None = None,
+    want: Iterable[str] | None = None,
 ) -> EngineRun:
-    """Execute ``graph``, returning every artifact it produced.
+    """Execute ``graph``, returning the artifacts it produced or loaded.
 
     ``seeds`` are caller-injected artifacts (a prebuilt world);
     ``seed_digests`` their content digests, folded into downstream keys.
     ``timer`` is an optional :class:`~repro.util.timing.StageTimer`:
     each node's load-or-execute time is recorded under its name, and
     cache hits are marked so reports don't read load time as work.
+
+    ``want`` names the artifacts the caller reads (default: every
+    artifact).  A cached node's outputs are unpickled only if they are
+    wanted or consumed by a node that executes; the others stay on
+    disk and are missing from :attr:`EngineRun.artifacts`, yet the node
+    counts as a cache hit all the same.
     """
     cfg = engine or EngineConfig()
     cache = ArtifactCache(cfg.cache_dir) if cfg.cache_dir is not None else None
-    ctx = _obs()
     sup: Supervisor | None = None
     if cfg.supervise is not None or cfg.chaos is not None:
         sup = Supervisor(cfg.supervise or SupervisorConfig(), chaos=cfg.chaos)
-
     run = EngineRun(artifacts=dict(seeds or {}))
     digests: dict[str, str] = dict(seed_digests or {})
     for name in run.artifacts:
         digests.setdefault(name, fingerprint("seed", name))
 
-    for generation in graph.generations():
-        pending: list[StageNode] = []
-        keys: dict[str, str] = {}
+    generations = graph.generations()
+    execution = _Execution(
+        graph, run, _node_keys(generations, digests), digests,
+        params, cfg, cache, sup, timer, want,
+    )
+    for generation in generations:
+        execution.generation(generation)
+    execution.finish()
+    if sup is not None:
+        run.retries = sup.retries
+        run.virtual_time = sup.clock.now
+    return run
+
+
+def _node_keys(generations: list[list[StageNode]], digests: dict[str, str]) -> dict[str, str]:
+    """Every node's cache key, from its upstream keys alone — nothing is loaded.
+
+    Fills ``digests`` with each output's digest: content-addressed by
+    construction, the producing node's key already encodes everything
+    upstream, so an artifact's digest is (key, output name) — no need to
+    hash pickled bytes.  A node fed by an absent seed gets no key.
+    """
+    keys: dict[str, str] = {}
+    for generation in generations:
         for node in generation:
-            blocked = sorted(a for a in node.inputs if a not in digests)
-            if blocked:
-                # failure isolation: an upstream node failed or was
-                # itself skipped, so this node can never run — but the
-                # rest of the generation is unaffected
-                run.skipped[node.name] = "blocked_on:" + ",".join(blocked)
-                ctx.event("node.skipped", node.name, blocked_on=",".join(blocked))
-                ctx.metrics.inc("engine.nodes_skipped")
-                run.results.append(
-                    NodeResult(node=node.name, cache_hit=False, status="skipped")
-                )
+            if any(a not in digests for a in node.inputs):
                 continue
             key = fingerprint(
                 "node",
@@ -175,223 +184,360 @@ def run_dag(
                 [(a, digests[a]) for a in node.inputs],
             )
             keys[node.name] = key
-            if (
-                cache is not None
-                and node.cacheable
-                and not cfg.refresh
-                and cache.has(node.name, key)
-            ):
-                try:
-                    with _timed(timer, node.name), ctx.span(
-                        "engine.node", node=node.name, cache_hit=True
-                    ):
-                        outputs = cache.load(node.name, key)
-                except KeyError:
-                    # has() lied: a key-prefix collision, a concurrent
-                    # eviction, or a corrupt entry (now quarantined by
-                    # the cache itself) — fall through and execute
-                    pass
-                else:
-                    if timer is not None:
-                        timer.mark_cached(node.name)
-                    ctx.metrics.inc("engine.cache.hits")
-                    ctx.event("cache.hit", node.name, key=key[:16])
-                    _adopt(run, digests, node, key, outputs, cache_hit=True)
-                    continue
-            if cache is not None and node.cacheable:
-                ctx.event("cache.miss", node.name, key=key[:16])
-            pending.append(node)
-
-        if not pending:
-            continue
-        if sup is not None:
-            _run_supervised(run, digests, pending, keys, params, cfg, sup, cache, timer)
-        else:
-            _run_bare(run, digests, pending, keys, params, cfg, cache, timer)
-
-    if sup is not None:
-        run.retries = sup.retries
-        run.virtual_time = sup.clock.now
-    return run
+            for name in node.outputs:
+                digests[name] = fingerprint("artifact", key, name)
+    return keys
 
 
-def _run_bare(run, digests, pending, keys, params, cfg, cache, timer) -> None:
-    """One generation, historical semantics: any exception aborts."""
-    ctx = _obs()
-    tasks = _tasks(run, pending, keys, params, cache)
-    if cfg.workers and cfg.workers > 1 and len(pending) > 1:
-        pool = ParallelConfig(workers=cfg.workers, min_items_per_worker=1)
-        label = "+".join(n.name for n in pending)
-        with _timed(timer, label):
-            produced = parallel_map(_node_task, tasks, pool)
-    else:
-        produced = []
-        for task in tasks:
-            with _timed(timer, task[0].name):
-                produced.append(_node_task(task))
+class _Execution:
+    """One :func:`run_dag` call: which nodes execute, which load, which wait.
 
-    for node, outputs in zip(pending, produced):
-        key = keys[node.name]
-        ctx.metrics.inc("engine.cache.misses")
-        ctx.metrics.inc("engine.nodes_executed")
-        _adopt(run, digests, node, key, outputs, cache_hit=False)
-
-
-def _run_supervised(
-    run, digests, pending, keys, params, cfg, sup: Supervisor, cache, timer
-) -> None:
-    """One generation under supervision: retry, deadline, isolate.
-
-    Rounds of attempts: every still-active node gets attempt *k*
-    together, outcomes are folded in generation order (so events and
-    accounting are worker-count independent), failures under their
-    attempt budget are backed off on the virtual clock and re-queued.
+    A node *executes* when it is not cacheable, ``refresh`` is set or
+    its entry is absent.  Any other node is served from the cache, and
+    is unpickled only for its *needed* outputs: those wanted by the
+    caller or consumed by an executing node.  A served node with no
+    needed output is *deferred* — its timer stage is marked cached in
+    place, its hit is counted when the run ends.  When a load fails
+    (the cache quarantines the entry), the node executes after its
+    missing inputs are provided: loaded on demand from their deferred
+    producers, or executed in turn if those loads fail too.
     """
-    ctx = _obs()
-    attempts = {n.name: 0 for n in pending}
-    active = list(pending)
-    while active:
-        outcomes: dict[str, Any] = {}
-        dispatch: list[StageNode] = []
-        for node in active:
-            attempts[node.name] += 1
-            kind = sup.draw_node(node.name, attempts[node.name])
-            if kind is ChaosKind.EXCEPTION:
-                ctx.event(
-                    "fault.injected", node.name, kind=kind.value, site="node"
-                )
-                outcomes[node.name] = TaskError(
-                    kind="ChaosError",
-                    message=(
-                        f"chaos: injected exception in node {node.name!r} "
-                        f"attempt {attempts[node.name]}"
-                    ),
-                )
-            elif kind is ChaosKind.HANG:
-                # virtual hang: charge what the watchdog would have
-                # waited, surface the same deadline error it would raise
-                ctx.event(
-                    "fault.injected", node.name, kind=kind.value, site="node"
-                )
-                sup.charge_hang(node.name)
-                outcomes[node.name] = TaskError(
-                    kind=DEADLINE_ERROR,
-                    message=f"node {node.name!r} hung past its deadline",
-                )
-            else:
-                dispatch.append(node)
 
-        if dispatch:
-            tasks = _tasks(run, dispatch, keys, params, cache)
-            deadlines = [sup.policy(n.name).deadline for n in dispatch]
-            use_pool = cfg.workers and cfg.workers > 1 and len(dispatch) > 1
-            if use_pool and any(d is not None for d in deadlines):
-                label = "+".join(n.name for n in dispatch)
-                with _timed(timer, label):
-                    produced = watchdog_map(
-                        _node_task, tasks, deadlines, workers=cfg.workers
-                    )
-            elif use_pool:
-                pool = ParallelConfig(workers=cfg.workers, min_items_per_worker=1)
-                label = "+".join(n.name for n in dispatch)
-                with _timed(timer, label):
-                    produced = parallel_map(
-                        _node_task, tasks, pool, capture_errors=True
-                    )
-            else:
-                produced = []
-                for task in tasks:
-                    with _timed(timer, task[0].name):
-                        # single-item parallel_map: same capture + obs
-                        # adoption discipline as the pool path
-                        produced.append(
-                            parallel_map(
-                                _node_task, [task], capture_errors=True
-                            )[0]
-                        )
-            for node, out in zip(dispatch, produced):
-                outcomes[node.name] = out
+    def __init__(
+        self, graph, run, keys, digests, params, cfg, cache, sup, timer, want
+    ) -> None:
+        self.run, self.keys, self.digests = run, keys, digests
+        self.params, self.cfg, self.cache = params, cfg, cache
+        self.sup, self.timer = sup, timer
+        self.producer = graph.producers()
+        self.executes = {
+            n.name
+            for n in graph.nodes
+            if cache is None
+            or cfg.refresh
+            or not n.cacheable
+            or n.name not in keys
+            or not cache.has(n.name, keys[n.name])
+        }
+        wanted = set(self.producer) if want is None else set(want)
+        self.needed = wanted.union(
+            *(n.inputs for n in graph.nodes if n.name in self.executes)
+        )
+        self.deferred: dict[str, StageNode] = {}
+        self.lost: set[str] = set()  # outputs of failed and skipped nodes
 
-        retry: list[StageNode] = []
-        for node in active:
-            name = node.name
-            out = outcomes[name]
-            if isinstance(out, TaskError):
-                if out.kind == CacheWriteError.__name__:
-                    # the body finished but its entry could not land
-                    # (disk full, quota): a retry would recompute the
-                    # body and fail the same way, so abort as unsupervised
-                    raise CacheWriteError(out.message)
-                if out.kind == DEADLINE_ERROR:
-                    ctx.event("node.timeout", name, attempt=attempts[name])
-                    ctx.metrics.inc("engine.node.timeouts")
-                if attempts[name] < sup.policy(name).max_attempts:
-                    sup.charge_backoff(name, attempts[name])
+    # ----------------------------------------------------------- scheduling
+
+    def generation(self, nodes: list[StageNode]) -> None:
+        pending: list[StageNode] = []
+        for node in nodes:
+            blocked = self._blocked(node)
+            if blocked:
+                self._skip(node, blocked)
+                continue
+            if node.name not in self.executes:
+                needed = [a for a in node.outputs if a in self.needed]
+                if not needed:
+                    self._defer(node)
+                    continue
+                if self._serve(node, needed):
+                    continue
+            self._miss(node)
+            pending.append(node)
+        self._execute(pending)
+
+    def finish(self) -> None:
+        """Count the deferred nodes, served without a read, as hits."""
+        for node in self.deferred.values():
+            self._hit(node, {})
+        self.deferred.clear()
+
+    def _blocked(self, node: StageNode) -> list[str]:
+        return sorted(
+            a for a in node.inputs if a not in self.digests or a in self.lost
+        )
+
+    def _skip(self, node: StageNode, blocked: list[str]) -> None:
+        # failure isolation: an upstream node failed or was itself
+        # skipped, so this node can never run — but the rest of the
+        # generation is unaffected
+        ctx = _obs()
+        self.run.skipped[node.name] = "blocked_on:" + ",".join(blocked)
+        self.lost.update(node.outputs)
+        ctx.event("node.skipped", node.name, blocked_on=",".join(blocked))
+        ctx.metrics.inc("engine.nodes_skipped")
+        self.run.results.append(
+            NodeResult(node=node.name, cache_hit=False, status="skipped")
+        )
+
+    def _execute(self, nodes: list[StageNode]) -> None:
+        """Provide each node's inputs, then run the nodes that can run."""
+        runnable = []
+        for node in nodes:
+            self._provide(node.inputs)
+            blocked = self._blocked(node)
+            if blocked:
+                self._skip(node, blocked)
+            else:
+                runnable.append(node)
+        if not runnable:
+            return
+        if self.sup is not None:
+            self._run_supervised(runnable)
+        else:
+            self._run_bare(runnable)
+
+    def _provide(self, artifacts: tuple[str, ...]) -> None:
+        """Load (or, failing that, execute) the producers of absent inputs."""
+        missing: dict[str, list[str]] = {}
+        for a in artifacts:
+            if a not in self.run.artifacts and a not in self.lost:
+                missing.setdefault(self.producer[a].name, []).append(a)
+        for outputs in missing.values():
+            node = self.producer[outputs[0]]
+            if not self._read(node, outputs):
+                self._miss(node)
+                self._execute([node])
+
+    # ---------------------------------------------------------------- cache
+
+    def _defer(self, node: StageNode) -> None:
+        ctx = _obs()
+        # the same timer stage and span a read would leave, so stage
+        # facts and event counts do not depend on what was unpickled
+        with _timed(self.timer, node.name), ctx.span(
+            "engine.node", node=node.name, cache_hit=True
+        ):
+            pass
+        if self.timer is not None:
+            self.timer.mark_cached(node.name)
+        self.deferred[node.name] = node
+
+    def _serve(self, node: StageNode, outputs: list[str]) -> bool:
+        """Serve ``node`` from its entry, unpickling ``outputs``; False on a miss."""
+        ctx = _obs()
+        try:
+            with _timed(self.timer, node.name), ctx.span(
+                "engine.node", node=node.name, cache_hit=True
+            ):
+                loaded = self.cache.load(node.name, self.keys[node.name], outputs=outputs)
+        except KeyError:
+            # has() lied: a key-prefix collision, a concurrent eviction,
+            # or a corrupt entry (now quarantined by the cache itself)
+            return False
+        self._hit(node, loaded)
+        return True
+
+    def _read(self, node: StageNode, outputs: list[str]) -> bool:
+        """Load ``outputs`` of an already-served node on demand."""
+        try:
+            loaded = self.cache.load(node.name, self.keys[node.name], outputs=outputs)
+        except KeyError:
+            return False
+        if self.deferred.pop(node.name, None) is not None:
+            self._hit(node, loaded)
+        else:  # its hit is counted; this read adds outputs
+            self.run.artifacts.update(loaded)
+        return True
+
+    def _hit(self, node: StageNode, outputs: dict[str, Any]) -> None:
+        ctx = _obs()
+        if self.timer is not None:
+            self.timer.mark_cached(node.name)
+        ctx.metrics.inc("engine.cache.hits")
+        ctx.event("cache.hit", node.name, key=self.keys[node.name][:16])
+        self._adopt(node, outputs, cache_hit=True)
+
+    def _miss(self, node: StageNode) -> None:
+        if self.cache is not None and node.cacheable:
+            _obs().event("cache.miss", node.name, key=self.keys[node.name][:16])
+        if self.deferred.pop(node.name, None) is not None and self.timer is not None:
+            # its cached stage placeholder now times the execution
+            self.timer.cached.discard(node.name)
+
+    def _adopt(self, node: StageNode, outputs: dict[str, Any], cache_hit: bool) -> None:
+        """Record one node's (loaded or produced) outputs."""
+        for name in node.outputs:
+            if name in outputs:
+                self.run.artifacts[name] = outputs[name]
+        self.run.results.append(
+            NodeResult(
+                node=node.name,
+                outputs=outputs,
+                cache_hit=cache_hit,
+                key=self.keys[node.name],
+            )
+        )
+
+    # ------------------------------------------------------------ execution
+
+    def _tasks(self, nodes: list[StageNode]) -> list[tuple]:
+        return [
+            (
+                node,
+                self.params,
+                {a: self.run.artifacts[a] for a in node.inputs},
+                self.cache if node.cacheable else None,
+                self.keys[node.name],
+            )
+            for node in nodes
+        ]
+
+    def _run_bare(self, pending: list[StageNode]) -> None:
+        """Historical semantics: any exception aborts."""
+        ctx, cfg, timer = _obs(), self.cfg, self.timer
+        tasks = self._tasks(pending)
+        if cfg.workers and cfg.workers > 1 and len(pending) > 1:
+            pool = ParallelConfig(workers=cfg.workers, min_items_per_worker=1)
+            label = "+".join(n.name for n in pending)
+            with _timed(timer, label):
+                produced = parallel_map(_node_task, tasks, pool)
+        else:
+            produced = []
+            for task in tasks:
+                with _timed(timer, task[0].name):
+                    produced.append(_node_task(task))
+
+        for node, outputs in zip(pending, produced):
+            ctx.metrics.inc("engine.cache.misses")
+            ctx.metrics.inc("engine.nodes_executed")
+            self._adopt(node, outputs, cache_hit=False)
+
+    def _run_supervised(self, pending: list[StageNode]) -> None:
+        """Under supervision: retry, deadline, isolate.
+
+        Rounds of attempts: every still-active node gets attempt *k*
+        together, outcomes are folded in the given order (so events and
+        accounting are worker-count independent), failures under their
+        attempt budget are backed off on the virtual clock and re-queued.
+        """
+        ctx, cfg, sup, timer = _obs(), self.cfg, self.sup, self.timer
+        cache, keys = self.cache, self.keys
+        attempts = {n.name: 0 for n in pending}
+        active = list(pending)
+        while active:
+            outcomes: dict[str, Any] = {}
+            dispatch: list[StageNode] = []
+            for node in active:
+                attempts[node.name] += 1
+                kind = sup.draw_node(node.name, attempts[node.name])
+                if kind is ChaosKind.EXCEPTION:
                     ctx.event(
-                        "node.retry", name, attempt=attempts[name], error=out.kind
+                        "fault.injected", node.name, kind=kind.value, site="node"
                     )
-                    ctx.metrics.inc("engine.node.retries")
-                    retry.append(node)
+                    outcomes[node.name] = TaskError(
+                        kind="ChaosError",
+                        message=(
+                            f"chaos: injected exception in node {node.name!r} "
+                            f"attempt {attempts[node.name]}"
+                        ),
+                    )
+                elif kind is ChaosKind.HANG:
+                    # virtual hang: charge what the watchdog would have
+                    # waited, surface the same deadline error it would raise
+                    ctx.event(
+                        "fault.injected", node.name, kind=kind.value, site="node"
+                    )
+                    sup.charge_hang(node.name)
+                    outcomes[node.name] = TaskError(
+                        kind=DEADLINE_ERROR,
+                        message=f"node {node.name!r} hung past its deadline",
+                    )
                 else:
-                    reason = f"{out.kind}: {out.message}"
-                    run.failed[name] = reason
-                    ctx.event(
-                        "node.failed", name, attempts=attempts[name], error=out.kind
-                    )
-                    ctx.metrics.inc("engine.nodes_failed")
-                    run.results.append(
-                        NodeResult(
-                            node=name,
-                            cache_hit=False,
-                            key=keys[name],
-                            status="failed",
-                            attempts=attempts[name],
+                    dispatch.append(node)
+
+            if dispatch:
+                tasks = self._tasks(dispatch)
+                deadlines = [sup.policy(n.name).deadline for n in dispatch]
+                use_pool = cfg.workers and cfg.workers > 1 and len(dispatch) > 1
+                if use_pool and any(d is not None for d in deadlines):
+                    label = "+".join(n.name for n in dispatch)
+                    with _timed(timer, label):
+                        produced = watchdog_map(
+                            _node_task, tasks, deadlines, workers=cfg.workers
                         )
-                    )
-            else:
-                key = keys[name]
-                ctx.metrics.inc("engine.cache.misses")
-                ctx.metrics.inc("engine.nodes_executed")
-                if cache is not None and node.cacheable:
-                    # the node task already saved the entry
-                    wkind = sup.draw_write(name, key)
-                    if wkind is not None:
-                        # the entry this run just wrote gets damaged on
-                        # disk — this run already holds the outputs; the
-                        # *next* run must quarantine and recompute
+                elif use_pool:
+                    pool = ParallelConfig(workers=cfg.workers, min_items_per_worker=1)
+                    label = "+".join(n.name for n in dispatch)
+                    with _timed(timer, label):
+                        produced = parallel_map(
+                            _node_task, tasks, pool, capture_errors=True
+                        )
+                else:
+                    produced = []
+                    for task in tasks:
+                        with _timed(timer, task[0].name):
+                            # single-item parallel_map: same capture + obs
+                            # adoption discipline as the pool path
+                            produced.append(
+                                parallel_map(
+                                    _node_task, [task], capture_errors=True
+                                )[0]
+                            )
+                for node, out in zip(dispatch, produced):
+                    outcomes[node.name] = out
+
+            retry: list[StageNode] = []
+            for node in active:
+                name = node.name
+                out = outcomes[name]
+                if isinstance(out, TaskError):
+                    if out.kind == CacheWriteError.__name__:
+                        # the body finished but its entry could not land
+                        # (disk full, quota): a retry would recompute the
+                        # body and fail the same way, so abort as unsupervised
+                        raise CacheWriteError(out.message)
+                    if out.kind == DEADLINE_ERROR:
+                        ctx.event("node.timeout", name, attempt=attempts[name])
+                        ctx.metrics.inc("engine.node.timeouts")
+                    if attempts[name] < sup.policy(name).max_attempts:
+                        sup.charge_backoff(name, attempts[name])
                         ctx.event(
-                            "fault.injected",
-                            name,
-                            kind=wkind.value,
-                            site="cache.write",
+                            "node.retry", name, attempt=attempts[name], error=out.kind
                         )
-                        sup.corrupt_entry(
-                            cache.entry_path(name, key), name, key, wkind
+                        ctx.metrics.inc("engine.node.retries")
+                        retry.append(node)
+                    else:
+                        reason = f"{out.kind}: {out.message}"
+                        self.run.failed[name] = reason
+                        self.lost.update(node.outputs)
+                        ctx.event(
+                            "node.failed", name, attempts=attempts[name], error=out.kind
                         )
-                _adopt(run, digests, node, key, out, cache_hit=False)
-                run.results[-1].attempts = attempts[name]
-        active = retry
+                        ctx.metrics.inc("engine.nodes_failed")
+                        self.run.results.append(
+                            NodeResult(
+                                node=name,
+                                cache_hit=False,
+                                key=keys[name],
+                                status="failed",
+                                attempts=attempts[name],
+                            )
+                        )
+                else:
+                    key = keys[name]
+                    ctx.metrics.inc("engine.cache.misses")
+                    ctx.metrics.inc("engine.nodes_executed")
+                    if cache is not None and node.cacheable:
+                        # the node task already saved the entry
+                        wkind = sup.draw_write(name, key)
+                        if wkind is not None:
+                            # the entry this run just wrote gets damaged on
+                            # disk — this run already holds the outputs; the
+                            # *next* run must quarantine and recompute
+                            ctx.event(
+                                "fault.injected",
+                                name,
+                                kind=wkind.value,
+                                site="cache.write",
+                            )
+                            sup.corrupt_entry(
+                                cache.entry_path(name, key), name, key, wkind
+                            )
+                    self._adopt(node, out, cache_hit=False)
+                    self.run.results[-1].attempts = attempts[name]
+            active = retry
 
 
 def _timed(timer: Any | None, name: str):
     return timer.stage(name) if timer is not None else nullcontext()
-
-
-def _adopt(
-    run: EngineRun,
-    digests: dict[str, str],
-    node: StageNode,
-    key: str,
-    outputs: dict[str, Any],
-    cache_hit: bool,
-) -> None:
-    """Record one node's outputs and derive their artifact digests."""
-    for name in node.outputs:
-        run.artifacts[name] = outputs[name]
-        # content-addressed by construction: the producing node's key
-        # already encodes everything upstream, so the artifact digest
-        # is (key, output-name) — no need to hash the pickled bytes
-        digests[name] = fingerprint("artifact", key, name)
-    run.results.append(
-        NodeResult(node=node.name, outputs=outputs, cache_hit=cache_hit, key=key)
-    )

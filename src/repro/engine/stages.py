@@ -97,7 +97,10 @@ class FaultPart:
 
 
 def stage_world(params: PipelineParams, inputs: dict) -> dict:
-    return {"world": build_world(params.world_config)}
+    # the SC/ISC timeline is its own output: a warm run reads it without
+    # unpickling the whole world
+    world = build_world(params.world_config)
+    return {"world": world, "timeline": world.timeline}
 
 
 def stage_ingest(params: PipelineParams, inputs: dict) -> dict:
@@ -304,7 +307,7 @@ def build_graph(params: PipelineParams, prebuilt_world: bool = False) -> StageGr
                 "world",
                 stage_world,
                 inputs=(),
-                outputs=("world",),
+                outputs=("world", "timeline"),
                 params=fp({"config": params.world_config}),
             )
         )

@@ -30,7 +30,7 @@ injects nothing, and the output is bit-identical to the fault-free run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.contracts.audit import ContractReport
 from repro.contracts.schema import ValidationMode
@@ -45,6 +45,7 @@ from repro.pipeline.link import LinkedData
 from repro.pipeline.sharded import plan_sharded_run
 from repro.synth.config import WorldConfig
 from repro.synth.shards import ShardPlan
+from repro.synth.timeline import TimelineEdition
 from repro.synth.world import SyntheticWorld
 from repro.util.timing import StageTimer
 
@@ -57,14 +58,49 @@ __all__ = [
 ]
 
 
+_UNREAD = object()
+
+
+class _ReadOnAccess:
+    """A :class:`PipelineResult` field read from the run on first access.
+
+    A warm run does not unpickle the world or the linked records; the
+    first access reads the one artifact through the run's own engine
+    call (``run_dag`` with ``want`` set to it), so an evicted or damaged
+    entry is recomputed and its cache entry healed.  The read is kept
+    out of the run's observability context: it belongs to the caller,
+    not to the run's accounting.  A result built without a reader (a
+    sharded run, or a hand-built one) reads ``None``.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return _UNREAD  # the dataclass default
+        value = result.__dict__[self.name]
+        if value is _UNREAD:
+            read = result.__dict__.get("_read")
+            value = read(self.name) if read is not None else None
+            result.__dict__[self.name] = value
+        return value
+
+    def __set__(self, result, value) -> None:
+        result.__dict__[self.name] = value
+
+
 @dataclass
 class PipelineResult:
     """Everything a caller might want from a run, monolithic or sharded.
 
     ``world``, ``linked`` and ``inference`` are ``None`` on a sharded
     run, which keeps no whole world; ``plan`` is its shard plan.
-    ``executed_nodes``/``cached_nodes`` name the engine nodes that ran
-    and that were served from the cache.
+    ``world`` and ``linked`` are read from the cache on first access
+    when the run was served from it.  ``timeline`` holds the world's
+    SC/ISC 2016–2020 timeline (empty on a sharded run, whose shards
+    build none).  ``executed_nodes``/``cached_nodes`` name the engine
+    nodes that ran and that were served from the cache.
     """
 
     dataset: AnalysisDataset
@@ -76,10 +112,11 @@ class PipelineResult:
     obs: ObsContext | None = None
     executed_nodes: tuple[str, ...] = ()
     cached_nodes: tuple[str, ...] = ()
-    world: SyntheticWorld | None = None
-    linked: LinkedData | None = None
+    world: SyntheticWorld | None = _ReadOnAccess()
+    linked: LinkedData | None = _ReadOnAccess()
     inference: InferenceOutcome | None = None
     plan: ShardPlan | None = None
+    timeline: list[TimelineEdition] = field(default_factory=list)
 
     @property
     def researchers(self) -> int:
@@ -159,9 +196,9 @@ def run_pipeline(
         if timer is None:
             timer = StageTimer(tracer=octx.tracer if octx.enabled else None)
         if sharded:
-            run, fields, size = _execute_sharded(rc, plan, timer)
+            run, fields, size, read = _execute_sharded(rc, plan, timer)
         else:
-            run, fields, size = _execute_monolithic(rc, world, timer)
+            run, fields, size, read = _execute_monolithic(rc, world, timer)
         fields["degraded"] = _merge_engine_accounting(fields["degraded"], run)
         result = PipelineResult(
             **fields,
@@ -172,6 +209,7 @@ def run_pipeline(
             ),
             cached_nodes=tuple(r.node for r in run.results if r.cache_hit),
         )
+        result._read = read
         if octx.enabled:
             m = octx.metrics
             m.set_gauge("pipeline.researchers", result.researchers)
@@ -192,9 +230,14 @@ def run_pipeline(
 #: ``RunConfig.shards`` (or passes a plan), which selects the sharded graph
 run_sharded = run_pipeline
 
-# Each path returns (engine run, its result fields, its size gauge).  The
-# engine is imported lazily: repro.engine.stages imports the stage
-# modules of this package, so a top-level import would be circular.
+# Each path returns (engine run, its result fields, its size gauge, the
+# reader of the fields left unread).  The engine is imported lazily:
+# repro.engine.stages imports the stage modules of this package, so a
+# top-level import would be circular.
+
+#: what a monolithic result holds once the run returns; ``world`` and
+#: ``linked`` are read when first accessed
+_MONOLITHIC_WANTS = ("dataset", "inference", "degraded", "contracts")
 
 
 def _execute_monolithic(rc: RunConfig, world: SyntheticWorld | None, timer: StageTimer):
@@ -208,26 +251,45 @@ def _execute_monolithic(rc: RunConfig, world: SyntheticWorld | None, timer: Stag
         parallel=rc.parallel,
     )
     seeds = {} if world is None else {"world": world}
-    run = run_dag(
-        build_graph(params, prebuilt_world=world is not None),
-        params,
-        seeds=seeds,
-        seed_digests={name: world_fingerprint(w) for name, w in seeds.items()},
-        engine=rc.engine,
-        timer=timer,
-    )
-    _require(run, "world", "linked", "dataset", "inference", "degraded", "contracts")
+    graph = build_graph(params, prebuilt_world=world is not None)
+    seed_digests = {name: world_fingerprint(w) for name, w in seeds.items()}
+
+    def execute(want, timer=None):
+        run = run_dag(
+            graph,
+            params,
+            seeds=seeds,
+            seed_digests=seed_digests,
+            engine=rc.engine,
+            timer=timer,
+            want=want,
+        )
+        _require(run, *want)
+        return run
+
+    run = execute(_MONOLITHIC_WANTS + (() if seeds else ("timeline",)), timer)
+    # artifacts this run already holds (executed, or the prebuilt world)
+    # are served from memory; the others are read through the engine
+    held = {a: run[a] for a in ("world", "linked") if a in run.artifacts}
+
+    def read(artifact: str):
+        if artifact in held:
+            return held[artifact]
+        with _obs_use(None):
+            return execute((artifact,))[artifact]
+
     fields = dict(
         dataset=run["dataset"],
         coverage=run["inference"].coverage,
-        world_config=run["world"].config,
+        world_config=world.config if world is not None else rc.world or WorldConfig(),
         degraded=run["degraded"],
         contracts=run["contracts"],
-        world=run["world"],
-        linked=run["linked"],
         inference=run["inference"],
+        timeline=world.timeline if world is not None else run["timeline"],
     )
-    return run, fields, ("pipeline.editions", len(run["harvested"]))
+    # a dataset has one conferences row per harvested edition
+    size = ("pipeline.editions", run["dataset"].conferences.num_rows)
+    return run, fields, size, read
 
 
 def _execute_sharded(rc: RunConfig, plan: ShardPlan | None, timer: StageTimer):
@@ -237,7 +299,7 @@ def _execute_sharded(rc: RunConfig, plan: ShardPlan | None, timer: StageTimer):
     with timer.stage("plan"):
         wc, plan, graph, params, engine = plan_sharded_run(rc, plan)
     with timer.stage("execute"):
-        run = run_dag(graph, params, engine=engine)
+        run = run_dag(graph, params, engine=engine, want=("merged",))
     _require(run, "merged")
     merged = run["merged"]
     fields = dict(
@@ -247,7 +309,7 @@ def _execute_sharded(rc: RunConfig, plan: ShardPlan | None, timer: StageTimer):
         degraded=merged.degraded,
         plan=plan,
     )
-    return run, fields, ("pipeline.shards", len(plan))
+    return run, fields, ("pipeline.shards", len(plan)), None
 
 
 def _require(run, *artifacts: str) -> None:

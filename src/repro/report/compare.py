@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.analysis.blind import blind_report
@@ -94,7 +95,14 @@ def compare_headlines(result: PipelineResult) -> list[ComparisonRow]:
         ("COVERAGE", "unknown_pct", PAPER_STATS["COVERAGE"]["unknown_pct"], 100 * cov["none"]),
         ("COVERAGE", "gs_coverage_known", PAPER_STATS["COVERAGE"]["gs_coverage_known"], 100 * exp.gs_coverage_known_gender),
     ]
-    return [ComparisonRow(e, s, p, m) for e, s, p, m in rows if m is not None]
+    # a statistic the dataset cannot define (None, or NaN such as a
+    # double-blind share on a universe without double-blind venues) is
+    # left out rather than counted as a miss
+    return [
+        ComparisonRow(e, s, p, m)
+        for e, s, p, m in rows
+        if m is not None and math.isfinite(m)
+    ]
 
 
 def _pct(share: Proportion | None) -> float | None:

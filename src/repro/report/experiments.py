@@ -101,7 +101,7 @@ def _hpc(result: PipelineResult):
 
 def _casestudy(result: PipelineResult):
     # a sharded run builds no SC/ISC timeline: it reports as an empty one
-    cs = casestudy_report(result.world.timeline if result.world is not None else [])
+    cs = casestudy_report(result.timeline)
     lines = []
     for conf, points in cs.series.items():
         series = ", ".join(f"{p.year}:{100*p.far:.1f}%" for p in points)

@@ -12,6 +12,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.analysis.common import mask_eq, mask_flag
 from repro.analysis.experience import experience_report
 from repro.analysis.far import far_report
 from repro.analysis.geography import geography_report
@@ -46,14 +47,12 @@ class FigureResult:
 
 
 def _gender_samples(ds: AnalysisDataset, column: str, flag: str) -> dict[str, np.ndarray]:
-    known = ds.researchers.filter(lambda t: ~t.col("gender").is_missing())
+    """Non-NaN ``column`` values of flagged women and men, in row order."""
+    r = ds.researchers
+    flagged = mask_flag(r, flag)
     out = {}
     for g in ("F", "M"):
-        sub = known.filter(
-            lambda t: np.array([bool(x) for x in t[flag]], dtype=bool)
-            & np.array([v == g for v in t["gender"]], dtype=bool)
-        )
-        v = sub[column].astype(np.float64)
+        v = r[column][flagged & mask_eq(r, "gender", g)].astype(np.float64)
         out[g] = v[~np.isnan(v)]
     return out
 

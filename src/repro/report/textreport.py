@@ -101,11 +101,9 @@ def full_report(result: PipelineResult) -> str:
         f"{_pct(sec.sector_shares['EDU'], 1)} / GOV {_pct(sec.sector_shares['GOV'], 1)}")
     add("")
 
-    # the case study and the survey read the world, which a sharded run
-    # does not keep (its shards build no SC/ISC timeline either)
-    world = result.world
-    if world is not None and world.timeline:
-        cs = casestudy_report(world.timeline)
+    # a sharded run's shards build no SC/ISC timeline
+    if result.timeline:
+        cs = casestudy_report(result.timeline)
         add("## SC/ISC case study (§3.4)")
         add("")
         for conf, (lo, hi) in cs.far_range.items():
@@ -118,7 +116,10 @@ def full_report(result: PipelineResult) -> str:
         f"**{sens.all_stable}**")
     add("")
 
-    if world is not None:  # survey validation (§2's "no discrepancies" check)
+    # survey validation (§2's "no discrepancies" check) reads the world,
+    # which a sharded run does not keep
+    world = result.world
+    if world is not None:
         from repro.names.parsing import name_key
         from repro.survey import AuthorSurvey, validate_assignments
 

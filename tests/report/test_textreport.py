@@ -47,7 +47,6 @@ class TestFullReport:
     def test_no_timeline_section_when_absent(self, small_result):
         import dataclasses
 
-        world = dataclasses.replace(small_result.world, timeline=[])
-        result = dataclasses.replace(small_result, world=world)
+        result = dataclasses.replace(small_result, timeline=[])
         text = full_report(result)
         assert "case study" not in text
