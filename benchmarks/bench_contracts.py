@@ -7,6 +7,8 @@ of the bare pipeline (< 5% is the target recorded in METHODOLOGY.md §9).
 The per-entity benches isolate where the validation time actually goes.
 """
 
+import time
+
 import pytest
 
 from repro.contracts import (
@@ -39,14 +41,26 @@ def test_pipeline_unvalidated(benchmark, world):
 
 
 def test_pipeline_validate_repair(benchmark, world):
-    """The default mode end-to-end; compare against the baseline bench."""
+    """The default mode end-to-end, and its overhead over the baseline.
+
+    No stage is named after the contracts (they run inside the nodes),
+    so the overhead is measured as it is felt: the best of three
+    alternating repair and unvalidated runs of the same world.
+    """
     res = benchmark(run_pipeline, RunConfig(validation="repair"), world=world)
-    contracts_ms = 1e3 * res.timer.durations.get("contracts", 0.0)
-    audit_ms = 1e3 * res.timer.durations.get("audit", 0.0)
+    best = {"off": float("inf"), "repair": float("inf")}
+    for _ in range(3):
+        for mode in best:
+            config = RunConfig(validation=None if mode == "off" else mode)
+            t0 = time.perf_counter()
+            run_pipeline(config, world=world)
+            best[mode] = min(best[mode], time.perf_counter() - t0)
+    contracts_ms = 1e3 * (best["repair"] - best["off"])
+    benchmark.extra_info["unvalidated_ms"] = round(1e3 * best["off"], 2)
+    benchmark.extra_info["repair_ms"] = round(1e3 * best["repair"], 2)
     benchmark.extra_info["contracts_ms"] = round(contracts_ms, 2)
-    benchmark.extra_info["audit_ms"] = round(audit_ms, 2)
     benchmark.extra_info["validation_overhead_pct"] = round(
-        100.0 * contracts_ms / (1e3 * res.timer.total()), 2
+        100.0 * contracts_ms / (1e3 * best["off"]), 2
     )
     assert res.contracts is not None and res.contracts.audit.ok
 

@@ -18,6 +18,7 @@ import argparse
 from repro.analysis import blind_report, far_report, pc_report
 from repro.pipeline import RunConfig, run_pipeline
 from repro.report import build_table1
+from repro.report.textreport import stage_table
 from repro.synth import WorldConfig
 
 
@@ -29,7 +30,7 @@ def main() -> None:
 
     print(f"Building world (seed={args.seed}, scale={args.scale}) and running pipeline...")
     result = run_pipeline(RunConfig(world=WorldConfig(seed=args.seed, scale=args.scale)))
-    print(result.timer.report())
+    print(stage_table(result.stages))
     print()
 
     _, table1 = build_table1(result.dataset)

@@ -420,12 +420,13 @@ def _result(args):
 
 def _cmd_run(args) -> int:
     from repro.analysis import far_report, pc_report
+    from repro.report.textreport import stage_table
 
     result = _result(args)
     far = far_report(result.dataset)
     pc = pc_report(result.dataset)
     cov = result.coverage
-    print(result.timer.report())
+    print(stage_table(result.stages))
     print()
     print(f"researchers: {result.dataset.researchers.num_rows}  "
           f"papers: {result.dataset.papers.num_rows}")

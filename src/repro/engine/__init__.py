@@ -26,7 +26,7 @@ from repro.engine.cache import ArtifactCache, CacheMismatch, CacheWriteError
 from repro.engine.dag import GraphError, StageGraph
 from repro.engine.executor import EngineConfig, EngineRun, run_dag
 from repro.engine.fingerprint import canonical, fingerprint, world_fingerprint
-from repro.engine.node import NodeResult, StageNode
+from repro.engine.node import NodeResult, StageNode, StageTime
 from repro.engine.stages import PipelineParams, build_graph
 from repro.engine.supervise import (
     IncompleteRunError,
@@ -50,6 +50,7 @@ __all__ = [
     "world_fingerprint",
     "NodeResult",
     "StageNode",
+    "StageTime",
     "PipelineParams",
     "build_graph",
     "NodePolicy",

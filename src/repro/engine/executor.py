@@ -34,6 +34,7 @@ holds exactly: any node exception propagates and aborts the run.
 
 from __future__ import annotations
 
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Iterable
@@ -41,7 +42,7 @@ from typing import Any, Iterable
 from repro.engine.cache import ArtifactCache, CacheWriteError
 from repro.engine.dag import StageGraph
 from repro.engine.fingerprint import fingerprint
-from repro.engine.node import NodeResult, StageNode
+from repro.engine.node import NodeResult, StageNode, StageTime
 from repro.engine.supervise import (
     DEADLINE_ERROR,
     Supervisor,
@@ -93,27 +94,37 @@ class EngineRun:
         return self.artifacts[artifact]
 
 
-def _node_task(task: tuple) -> dict[str, Any]:
+def _node_task(task: tuple) -> tuple[dict[str, Any], float]:
     """Execute one node body and cache its outputs (picklable for workers).
 
-    ``task`` is ``(node, params, inputs, cache, key)``; ``cache`` is
-    ``None`` when the node's outputs are not to be stored.
+    ``task`` is ``(node, params, inputs, cache, key, staged)``; ``cache``
+    is ``None`` when the node's outputs are not to be stored, ``staged``
+    opens the node's stage span around the whole task.  Returns the
+    outputs and the seconds the body and the save took, measured in the
+    process that ran them.
     """
-    node, params, inputs, cache, key = task
+    node, params, inputs, cache, key, staged = task
+    t0 = time.perf_counter()
     ctx = _obs()
-    ctx.event("stage.start", node.name)
-    with ctx.span("engine.node", node=node.name, cache_hit=False):
-        with ctx.profiled(node.name):
-            outputs = node.fn(params, inputs)
-    ctx.event("stage.end", node.name, cache_hit=False)
-    missing = set(node.outputs) - set(outputs)
-    if missing:
-        raise RuntimeError(
-            f"node {node.name!r} did not produce declared outputs: {sorted(missing)}"
-        )
-    if cache is not None:
-        cache.save(node.name, key, outputs)
-    return outputs
+    with _stage_span(staged, node.name):
+        ctx.event("stage.start", node.name)
+        with ctx.span("engine.node", node=node.name, cache_hit=False):
+            with ctx.profiled(node.name):
+                outputs = node.fn(params, inputs)
+        ctx.event("stage.end", node.name, cache_hit=False)
+        missing = set(node.outputs) - set(outputs)
+        if missing:
+            raise RuntimeError(
+                f"node {node.name!r} did not produce declared outputs: {sorted(missing)}"
+            )
+        if cache is not None:
+            cache.save(node.name, key, outputs)
+    return outputs, time.perf_counter() - t0
+
+
+def _stage_span(staged: bool, name: str):
+    """The span named after a node, opened when the run records stages."""
+    return _obs().span(name) if staged else nullcontext()
 
 
 def run_dag(
@@ -122,16 +133,17 @@ def run_dag(
     seeds: dict[str, Any] | None = None,
     seed_digests: dict[str, str] | None = None,
     engine: EngineConfig | None = None,
-    timer: Any | None = None,
+    stages: dict[str, StageTime] | None = None,
     want: Iterable[str] | None = None,
 ) -> EngineRun:
     """Execute ``graph``, returning the artifacts it produced or loaded.
 
     ``seeds`` are caller-injected artifacts (a prebuilt world);
     ``seed_digests`` their content digests, folded into downstream keys.
-    ``timer`` is an optional :class:`~repro.util.timing.StageTimer`:
-    each node's load-or-execute time is recorded under its name, and
-    cache hits are marked so reports don't read load time as work.
+    ``stages``, when given, is filled as nodes finish: each node's
+    :class:`~repro.engine.node.StageTime` (its load, executions and
+    attempts, timed where each ran), under the node's name, and each
+    node runs under a span of that name.  Without it nodes get neither.
 
     ``want`` names the artifacts the caller reads (default: every
     artifact).  A cached node's outputs are unpickled only if they are
@@ -152,7 +164,7 @@ def run_dag(
     generations = graph.generations()
     execution = _Execution(
         graph, run, _node_keys(generations, digests), digests,
-        params, cfg, cache, sup, timer, want,
+        params, cfg, cache, sup, stages, want,
     )
     for generation in generations:
         execution.generation(generation)
@@ -196,19 +208,19 @@ class _Execution:
     its entry is absent.  Any other node is served from the cache, and
     is unpickled only for its *needed* outputs: those wanted by the
     caller or consumed by an executing node.  A served node with no
-    needed output is *deferred* — its timer stage is marked cached in
-    place, its hit is counted when the run ends.  When a load fails
+    needed output is *deferred* — its stage entry is a cached one, its
+    hit is counted when the run ends.  When a load fails
     (the cache quarantines the entry), the node executes after its
     missing inputs are provided: loaded on demand from their deferred
     producers, or executed in turn if those loads fail too.
     """
 
     def __init__(
-        self, graph, run, keys, digests, params, cfg, cache, sup, timer, want
+        self, graph, run, keys, digests, params, cfg, cache, sup, stages, want
     ) -> None:
         self.run, self.keys, self.digests = run, keys, digests
         self.params, self.cfg, self.cache = params, cfg, cache
-        self.sup, self.timer = sup, timer
+        self.sup, self.stages = sup, stages
         self.producer = graph.producers()
         self.executes = {
             n.name
@@ -301,38 +313,56 @@ class _Execution:
 
     # ---------------------------------------------------------------- cache
 
+    def _record(self, name: str, seconds: float, cached: bool, count: int = 1) -> None:
+        """Add one load, execution or attempt to the node's stage entry."""
+        if self.stages is None:
+            return
+        stage = self.stages.setdefault(name, StageTime())
+        stage.seconds += seconds
+        stage.count += count
+        stage.cached = cached
+
     def _defer(self, node: StageNode) -> None:
         ctx = _obs()
-        # the same timer stage and span a read would leave, so stage
+        # the same stage entry and spans a read would leave, so stage
         # facts and event counts do not depend on what was unpickled
-        with _timed(self.timer, node.name), ctx.span(
+        with _stage_span(self.stages is not None, node.name), ctx.span(
             "engine.node", node=node.name, cache_hit=True
         ):
             pass
-        if self.timer is not None:
-            self.timer.mark_cached(node.name)
+        self._record(node.name, 0.0, cached=True)
         self.deferred[node.name] = node
 
     def _serve(self, node: StageNode, outputs: list[str]) -> bool:
         """Serve ``node`` from its entry, unpickling ``outputs``; False on a miss."""
         ctx = _obs()
+        t0 = time.perf_counter()
         try:
-            with _timed(self.timer, node.name), ctx.span(
+            with _stage_span(self.stages is not None, node.name), ctx.span(
                 "engine.node", node=node.name, cache_hit=True
             ):
                 loaded = self.cache.load(node.name, self.keys[node.name], outputs=outputs)
         except KeyError:
             # has() lied: a key-prefix collision, a concurrent eviction,
-            # or a corrupt entry (now quarantined by the cache itself)
+            # or a corrupt entry (now quarantined by the cache itself);
+            # the failed load counts, the execution that follows adds to it
+            loaded = None
+        self._record(node.name, time.perf_counter() - t0, cached=loaded is not None)
+        if loaded is None:
             return False
         self._hit(node, loaded)
         return True
 
     def _read(self, node: StageNode, outputs: list[str]) -> bool:
         """Load ``outputs`` of an already-served node on demand."""
+        t0 = time.perf_counter()
         try:
             loaded = self.cache.load(node.name, self.keys[node.name], outputs=outputs)
         except KeyError:
+            loaded = None
+        # the node's entry already counts its hit: the read adds seconds
+        self._record(node.name, time.perf_counter() - t0, cached=True, count=0)
+        if loaded is None:
             return False
         if self.deferred.pop(node.name, None) is not None:
             self._hit(node, loaded)
@@ -342,8 +372,6 @@ class _Execution:
 
     def _hit(self, node: StageNode, outputs: dict[str, Any]) -> None:
         ctx = _obs()
-        if self.timer is not None:
-            self.timer.mark_cached(node.name)
         ctx.metrics.inc("engine.cache.hits")
         ctx.event("cache.hit", node.name, key=self.keys[node.name][:16])
         self._adopt(node, outputs, cache_hit=True)
@@ -351,9 +379,7 @@ class _Execution:
     def _miss(self, node: StageNode) -> None:
         if self.cache is not None and node.cacheable:
             _obs().event("cache.miss", node.name, key=self.keys[node.name][:16])
-        if self.deferred.pop(node.name, None) is not None and self.timer is not None:
-            # its cached stage placeholder now times the execution
-            self.timer.cached.discard(node.name)
+        self.deferred.pop(node.name, None)
 
     def _adopt(self, node: StageNode, outputs: dict[str, Any], cache_hit: bool) -> None:
         """Record one node's (loaded or produced) outputs."""
@@ -379,26 +405,23 @@ class _Execution:
                 {a: self.run.artifacts[a] for a in node.inputs},
                 self.cache if node.cacheable else None,
                 self.keys[node.name],
+                self.stages is not None,
             )
             for node in nodes
         ]
 
     def _run_bare(self, pending: list[StageNode]) -> None:
         """Historical semantics: any exception aborts."""
-        ctx, cfg, timer = _obs(), self.cfg, self.timer
+        ctx, cfg = _obs(), self.cfg
         tasks = self._tasks(pending)
         if cfg.workers and cfg.workers > 1 and len(pending) > 1:
             pool = ParallelConfig(workers=cfg.workers, min_items_per_worker=1)
-            label = "+".join(n.name for n in pending)
-            with _timed(timer, label):
-                produced = parallel_map(_node_task, tasks, pool)
+            produced = parallel_map(_node_task, tasks, pool)
         else:
-            produced = []
-            for task in tasks:
-                with _timed(timer, task[0].name):
-                    produced.append(_node_task(task))
+            produced = [_node_task(task) for task in tasks]
 
-        for node, outputs in zip(pending, produced):
+        for node, (outputs, seconds) in zip(pending, produced):
+            self._record(node.name, seconds, cached=False)
             ctx.metrics.inc("engine.cache.misses")
             ctx.metrics.inc("engine.nodes_executed")
             self._adopt(node, outputs, cache_hit=False)
@@ -411,7 +434,7 @@ class _Execution:
         accounting are worker-count independent), failures under their
         attempt budget are backed off on the virtual clock and re-queued.
         """
-        ctx, cfg, sup, timer = _obs(), self.cfg, self.sup, self.timer
+        ctx, cfg, sup = _obs(), self.cfg, self.sup
         cache, keys = self.cache, self.keys
         attempts = {n.name: 0 for n in pending}
         active = list(pending)
@@ -451,31 +474,22 @@ class _Execution:
                 deadlines = [sup.policy(n.name).deadline for n in dispatch]
                 use_pool = cfg.workers and cfg.workers > 1 and len(dispatch) > 1
                 if use_pool and any(d is not None for d in deadlines):
-                    label = "+".join(n.name for n in dispatch)
-                    with _timed(timer, label):
-                        produced = watchdog_map(
-                            _node_task, tasks, deadlines, workers=cfg.workers
-                        )
-                elif use_pool:
-                    pool = ParallelConfig(workers=cfg.workers, min_items_per_worker=1)
-                    label = "+".join(n.name for n in dispatch)
-                    with _timed(timer, label):
-                        produced = parallel_map(
-                            _node_task, tasks, pool, capture_errors=True
-                        )
+                    produced = watchdog_map(
+                        _node_task, tasks, deadlines, workers=cfg.workers
+                    )
                 else:
-                    produced = []
-                    for task in tasks:
-                        with _timed(timer, task[0].name):
-                            # single-item parallel_map: same capture + obs
-                            # adoption discipline as the pool path
-                            produced.append(
-                                parallel_map(
-                                    _node_task, [task], capture_errors=True
-                                )[0]
-                            )
+                    # serially too: the pool's capture + obs adoption discipline
+                    pool = ParallelConfig(workers=cfg.workers or 0, min_items_per_worker=1)
+                    produced = parallel_map(_node_task, tasks, pool, capture_errors=True)
                 for node, out in zip(dispatch, produced):
-                    outcomes[node.name] = out
+                    if isinstance(out, TaskError):
+                        # a failed attempt counts; its seconds stayed
+                        # in the process that ran it
+                        self._record(node.name, 0.0, cached=False)
+                        outcomes[node.name] = out
+                    else:
+                        outcomes[node.name], seconds = out
+                        self._record(node.name, seconds, cached=False)
 
             retry: list[StageNode] = []
             for node in active:
@@ -538,6 +552,3 @@ class _Execution:
                     self.run.results[-1].attempts = attempts[name]
             active = retry
 
-
-def _timed(timer: Any | None, name: str):
-    return timer.stage(name) if timer is not None else nullcontext()

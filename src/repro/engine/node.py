@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-__all__ = ["StageNode", "NodeResult"]
+__all__ = ["StageNode", "NodeResult", "StageTime"]
 
 
 @dataclass(frozen=True)
@@ -83,3 +83,19 @@ class NodeResult:
     key: str = ""
     status: str = "ok"
     attempts: int = 1
+
+
+@dataclass
+class StageTime:
+    """One stage's wall time: seconds and entries summed over its repeats.
+
+    A node's entry accumulates its cache load, its executions and its
+    supervised re-attempts (a failed attempt adds to ``count`` only:
+    its seconds stay in the process that ran it); ``cached`` says the
+    last of them was a cache hit, so a near-zero time reads as a load,
+    not as work.
+    """
+
+    seconds: float = 0.0
+    count: int = 0
+    cached: bool = False

@@ -24,7 +24,7 @@ shape them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.contracts.audit import ContractReport, run_integrity_audit
 from repro.contracts.schema import (
@@ -117,6 +117,7 @@ def stage_ingest(params: PipelineParams, inputs: dict) -> dict:
             world, year=year, parallel=params.parallel, faults=params.faults
         )
         harvested = report.conferences
+        report = replace(report, conferences=[])  # stored once, as harvested
     if session is not None:
         malformed = ()
         if report is not None:
@@ -241,7 +242,7 @@ def stage_finalize(params: PipelineParams, inputs: dict) -> dict:
         )
         degraded = DegradedCoverage.from_parts(
             total_editions=report.total_editions,
-            harvested_editions=len(report.conferences),
+            harvested_editions=report.harvested_editions,
             losses=losses,
             stats=stats,
         )
@@ -318,6 +319,8 @@ def build_graph(params: PipelineParams, prebuilt_world: bool = False) -> StageGr
             inputs=("world",),
             outputs=("harvested", "ingest_report", "contracts_ingest"),
             params=fp({"faults": params.faults, "validation": params.validation}),
+            # 2: the stored ingest_report holds harvested_editions, not the list
+            version="2",
         )
     )
     graph.add(

@@ -8,7 +8,7 @@ would throw away hours of completed work.  This module gives every
 
 - **bounded retries** with the exponential-backoff-plus-jitter
   discipline of :class:`repro.faults.plan.RetryPolicy`, charged to a
-  :class:`~repro.util.timing.VirtualClock` so no process ever sleeps
+  :class:`~repro.faults.plan.VirtualClock` so no process ever sleeps
   and the accumulated backoff is identical across worker counts;
 - **per-node deadlines**, enforced two ways: *virtually* for chaos
   hangs (the plan never blocks, the clock is charged what a watchdog
@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro.faults.chaos import ChaosConfig, ChaosKind, ChaosPlan, corrupt_bytes
-from repro.faults.plan import RetryPolicy
+from repro.faults.plan import RetryPolicy, VirtualClock
 from repro.obs.context import ObsEnvelope
 from repro.obs.context import current as _obs_current
 
@@ -41,7 +41,6 @@ from repro.obs.context import current as _obs_current
 # shared with parallel_map: watchdog_map must produce the same TaskError
 # values and adopt envelopes under the same input-order discipline
 from repro.util.parallel import TaskError, _CaptureErrors, _ObsTask
-from repro.util.timing import VirtualClock
 
 __all__ = [
     "NodePolicy",

@@ -24,7 +24,14 @@ import numpy as np
 from repro.util.rng import derive_seed
 from repro.util.validation import check_fraction
 
-__all__ = ["FaultKind", "RetryPolicy", "BreakerConfig", "FaultConfig", "FaultPlan"]
+__all__ = [
+    "FaultKind",
+    "VirtualClock",
+    "RetryPolicy",
+    "BreakerConfig",
+    "FaultConfig",
+    "FaultPlan",
+]
 
 
 class FaultKind(enum.Enum):
@@ -39,6 +46,24 @@ class FaultKind(enum.Enum):
 _KINDS: tuple[FaultKind, ...] = tuple(FaultKind)
 
 
+@dataclass
+class VirtualClock:
+    """A clock that only moves when told to.
+
+    Retry backoff and rate-limit penalties "sleep" on this clock, so a
+    faulted run is charged realistic latency without any process ever
+    blocking — and the accumulated time is bit-identical across worker
+    counts because each work item owns its own clock.
+    """
+
+    now: float = 0.0
+
+    def sleep(self, seconds: float) -> None:
+        if seconds < 0:
+            raise ValueError("cannot sleep a negative duration")
+        self.now += seconds
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Exponential backoff with deterministic jitter on a virtual clock.
@@ -48,7 +73,7 @@ class RetryPolicy:
     multiplied by a jitter factor in ``[1-jitter, 1+jitter]`` drawn from
     the seed tree — so two runs back off identically, and no worker ever
     actually sleeps (the delay is charged to the
-    :class:`~repro.util.timing.VirtualClock`).
+    :class:`VirtualClock`).
     """
 
     max_attempts: int = 4

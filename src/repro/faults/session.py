@@ -27,9 +27,8 @@ from repro.faults.errors import (
     ServiceTimeout,
     TransientServiceError,
 )
-from repro.faults.plan import FaultConfig, FaultKind, FaultPlan
+from repro.faults.plan import FaultConfig, FaultKind, FaultPlan, VirtualClock
 from repro.obs.context import current as _obs
-from repro.util.timing import VirtualClock
 
 __all__ = ["FaultSession"]
 

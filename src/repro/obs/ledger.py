@@ -279,20 +279,19 @@ def build_run_record(
     """
     from repro.version import __version__
 
-    timer = result.timer
     obs = result.obs
     metrics = obs.metrics if obs is not None and obs.enabled else None
     events = obs.events if obs is not None and obs.enabled else None
 
     stages = {
         name: {
-            "count": timer.counts.get(name, 0),
-            "cached": name in timer.cached,
+            "count": stage.count,
+            "cached": stage.cached,
             # no stage resumes from a checkpoint any more; the key stays
             # so ledger bodies keep their shape and digests
             "resumed": False,
         }
-        for name in sorted(timer.durations)
+        for name, stage in sorted(result.stages.items())
     }
 
     counters: dict[str, int] = {}
@@ -339,14 +338,11 @@ def build_run_record(
     }
 
     timing = {
-        "stages": {k: round(v, 6) for k, v in sorted(timer.durations.items())},
-        "total": round(timer.total(), 6),
+        "stages": {k: round(s.seconds, 6) for k, s in sorted(result.stages.items())},
+        "total": round(sum(s.seconds for s in result.stages.values()), 6),
         "unix_time": round(time.time(), 3),
     }
-    record = RunRecord(body=body, timing=timing)
-    return RunRecord(
-        body=record.body, timing=record.timing, digest=body_digest(record.body)
-    )
+    return RunRecord(body=body, timing=timing, digest=body_digest(body))
 
 
 def build_service_record(

@@ -92,12 +92,18 @@ class HarvestOutcome:
 
 @dataclass
 class IngestReport:
-    """Everything the runner needs to account for the harvest stage."""
+    """Everything the runner needs to account for the harvest stage.
+
+    ``harvested_editions`` is ``len(conferences)``; the engine's ingest
+    node stores the report without the list, which it emits as
+    ``harvested``, so the count is what the stored report keeps.
+    """
 
     conferences: list[HarvestedConference] = field(default_factory=list)
     losses: list[LossRecord] = field(default_factory=list)
     stats: FaultStats = field(default_factory=FaultStats)
     total_editions: int = 0
+    harvested_editions: int = 0
     # per-edition proceedings record counts — the harvest-side paper
     # denominator the integrity audit cross-checks the tables against
     proceedings_counts: dict[str, int] = field(default_factory=dict)
@@ -173,5 +179,6 @@ def ingest_world_resilient(
         report.stats.merge(result.stats)
         if result.conference is not None:
             report.conferences.append(result.conference)
+            report.harvested_editions += 1
             report.proceedings_counts[key] = result.proceedings_count
     return report

@@ -30,13 +30,17 @@ injects nothing, and the output is bit-identical to the fault-free run.
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from repro.contracts.audit import ContractReport
 from repro.contracts.schema import ValidationMode
+from repro.engine.node import StageTime
 from repro.faults.degradation import DegradedCoverage
 from repro.obs.context import NULL as _NULL_OBS
 from repro.obs.context import ObsContext
+from repro.obs.context import current as _obs_current
 from repro.obs.context import use as _obs_use
 from repro.pipeline.config import RunConfig
 from repro.pipeline.dataset import AnalysisDataset
@@ -47,7 +51,6 @@ from repro.synth.config import WorldConfig
 from repro.synth.shards import ShardPlan
 from repro.synth.timeline import TimelineEdition
 from repro.synth.world import SyntheticWorld
-from repro.util.timing import StageTimer
 
 __all__ = [
     "PipelineResult",
@@ -99,14 +102,16 @@ class PipelineResult:
     ``world`` and ``linked`` are read from the cache on first access
     when the run was served from it.  ``timeline`` holds the world's
     SC/ISC 2016–2020 timeline (empty on a sharded run, whose shards
-    build none).  ``executed_nodes``/``cached_nodes`` name the engine
+    build none).  ``stages`` maps each stage to its wall time: an engine
+    node's on a monolithic run, the ``plan`` and ``execute`` phases on a
+    sharded one.  ``executed_nodes``/``cached_nodes`` name the engine
     nodes that ran and that were served from the cache.
     """
 
     dataset: AnalysisDataset
     coverage: dict[str, float]
     world_config: WorldConfig
-    timer: StageTimer
+    stages: dict[str, StageTime]
     degraded: DegradedCoverage | None = None
     contracts: ContractReport | None = None
     obs: ObsContext | None = None
@@ -145,7 +150,7 @@ def run_pipeline(
     world: SyntheticWorld | None = None,
     plan: ShardPlan | None = None,
     *,
-    timer: StageTimer | None = None,
+    stages: dict[str, StageTime] | None = None,
 ) -> PipelineResult:
     """Run every pipeline stage, monolithic or sharded, on the engine.
 
@@ -162,9 +167,10 @@ def run_pipeline(
     (``config.shard_workers`` for shards) independent nodes run
     concurrently and, with ``config.engine.cache_dir``, every node whose
     content-addressed fingerprint hits the artifact cache is served
-    without re-executing its body.  ``timer`` (a fresh
-    :class:`~repro.util.timing.StageTimer` when omitted) receives the
-    stage timings as they finish, so a caller can watch a run.
+    without re-executing its body.  ``stages`` (a fresh mapping when
+    omitted, and :attr:`PipelineResult.stages` either way) receives each
+    stage's :class:`~repro.engine.node.StageTime` as it finishes, so a
+    caller can watch a run.
 
     Strict validation raises
     :class:`~repro.contracts.schema.ContractViolationError` at the first
@@ -193,16 +199,15 @@ def run_pipeline(
             prebuilt_world=world is not None,
             shards=rc.shards or 0,
         )
-        if timer is None:
-            timer = StageTimer(tracer=octx.tracer if octx.enabled else None)
+        stages = {} if stages is None else stages
         if sharded:
-            run, fields, size, read = _execute_sharded(rc, plan, timer)
+            run, fields, size, read = _execute_sharded(rc, plan, stages)
         else:
-            run, fields, size, read = _execute_monolithic(rc, world, timer)
+            run, fields, size, read = _execute_monolithic(rc, world, stages)
         fields["degraded"] = _merge_engine_accounting(fields["degraded"], run)
         result = PipelineResult(
             **fields,
-            timer=timer,
+            stages=stages,
             obs=octx if octx.enabled else None,
             executed_nodes=tuple(
                 r.node for r in run.results if not r.cache_hit and r.status == "ok"
@@ -215,8 +220,8 @@ def run_pipeline(
             m.set_gauge("pipeline.researchers", result.researchers)
             m.set_gauge("pipeline.papers", result.dataset.papers.num_rows)
             m.set_gauge(*size)
-            for name, secs in timer.durations.items():
-                m.set_gauge(f"time.stage.{name}", secs)
+            for name, stage in stages.items():
+                m.set_gauge(f"time.stage.{name}", stage.seconds)
         octx.event(
             "run.end",
             kind,
@@ -240,7 +245,9 @@ run_sharded = run_pipeline
 _MONOLITHIC_WANTS = ("dataset", "inference", "degraded", "contracts")
 
 
-def _execute_monolithic(rc: RunConfig, world: SyntheticWorld | None, timer: StageTimer):
+def _execute_monolithic(
+    rc: RunConfig, world: SyntheticWorld | None, stages: dict[str, StageTime]
+):
     from repro.engine import PipelineParams, build_graph, run_dag, world_fingerprint
 
     params = PipelineParams(
@@ -254,20 +261,20 @@ def _execute_monolithic(rc: RunConfig, world: SyntheticWorld | None, timer: Stag
     graph = build_graph(params, prebuilt_world=world is not None)
     seed_digests = {name: world_fingerprint(w) for name, w in seeds.items()}
 
-    def execute(want, timer=None):
+    def execute(want, stages=None):
         run = run_dag(
             graph,
             params,
             seeds=seeds,
             seed_digests=seed_digests,
             engine=rc.engine,
-            timer=timer,
+            stages=stages,
             want=want,
         )
         _require(run, *want)
         return run
 
-    run = execute(_MONOLITHIC_WANTS + (() if seeds else ("timeline",)), timer)
+    run = execute(_MONOLITHIC_WANTS + (() if seeds else ("timeline",)), stages)
     # artifacts this run already holds (executed, or the prebuilt world)
     # are served from memory; the others are read through the engine
     held = {a: run[a] for a in ("world", "linked") if a in run.artifacts}
@@ -292,13 +299,15 @@ def _execute_monolithic(rc: RunConfig, world: SyntheticWorld | None, timer: Stag
     return run, fields, size, read
 
 
-def _execute_sharded(rc: RunConfig, plan: ShardPlan | None, timer: StageTimer):
-    """The timer gets two stages, the planning and the whole execution."""
+def _execute_sharded(
+    rc: RunConfig, plan: ShardPlan | None, stages: dict[str, StageTime]
+):
+    """Two stages, the planning and the whole execution, each under its span."""
     from repro.engine import run_dag
 
-    with timer.stage("plan"):
+    with _phase(stages, "plan"):
         wc, plan, graph, params, engine = plan_sharded_run(rc, plan)
-    with timer.stage("execute"):
+    with _phase(stages, "execute"):
         run = run_dag(graph, params, engine=engine, want=("merged",))
     _require(run, "merged")
     merged = run["merged"]
@@ -310,6 +319,14 @@ def _execute_sharded(rc: RunConfig, plan: ShardPlan | None, timer: StageTimer):
         plan=plan,
     )
     return run, fields, ("pipeline.shards", len(plan)), None
+
+
+@contextmanager
+def _phase(stages: dict[str, StageTime], name: str):
+    t0 = time.perf_counter()
+    with _obs_current().span(name):
+        yield
+    stages[name] = StageTime(seconds=time.perf_counter() - t0, count=1)
 
 
 def _require(run, *artifacts: str) -> None:

@@ -131,7 +131,7 @@ def stage_shard(spec: ShardSpec, params: ShardParams, inputs: dict) -> dict:
     if report is not None:  # the run has faults
         losses, stats = fault_totals(report, art["enrich_faults"], art["infer_faults"])
         total = report.total_editions
-        harvested_n = len(report.conferences)
+        harvested_n = report.harvested_editions
 
     dataset, linked = art["dataset"], art["linked"]
     name_keys = tuple(

@@ -8,6 +8,8 @@ Exposed on the CLI as ``python -m repro report``.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from repro.analysis import (
     blind_report,
     casestudy_report,
@@ -20,12 +22,32 @@ from repro.analysis import (
     sensitivity_report,
     visible_report,
 )
+from repro.engine.node import StageTime
 from repro.pipeline.runner import PipelineResult
 from repro.report.compare import compare_headlines
 from repro.report.tables import build_table1, build_table2, build_table3
 from repro.version import __version__
 
-__all__ = ["full_report"]
+__all__ = ["full_report", "stage_table"]
+
+
+def stage_table(stages: Mapping[str, StageTime]) -> str:
+    """One line per stage in milliseconds, then their total.
+
+    A repeated stage shows its entry count (``(x2)``), a cache-served
+    one ``(cache hit)``; the name column widens past 20 characters to
+    the longest name.
+    """
+    width = max([20] + [len(name) for name in stages])
+    lines = []
+    for name, stage in stages.items():
+        suffix = f"  (x{stage.count})" if stage.count > 1 else ""
+        if stage.cached:
+            suffix += "  (cache hit)"
+        lines.append(f"{name:<{width}s} {stage.seconds * 1e3:9.2f} ms{suffix}")
+    total = sum(stage.seconds for stage in stages.values())
+    lines.append(f"{'total':<{width}s} {total * 1e3:9.2f} ms")
+    return "\n".join(lines)
 
 
 def _pct(x: float, digits: int = 2) -> str:
@@ -52,7 +74,8 @@ def full_report(result: PipelineResult) -> str:
     add("")
     add(f"- seed: {result.world_config.seed}, scale: {result.world_config.scale}")
     add(f"- researchers: {ds.researchers.num_rows}, papers: {ds.papers.num_rows}")
-    add(f"- pipeline wall time: {result.timer.total() * 1e3:.0f} ms")
+    wall = sum(stage.seconds for stage in result.stages.values())
+    add(f"- pipeline wall time: {wall * 1e3:.0f} ms")
     add("")
 
     add("## Gender-assignment coverage (§2)")
@@ -182,7 +205,7 @@ def _render_observability(result: PipelineResult) -> str:
     add("## Observability")
     add("")
     add("```")
-    add(result.timer.report())
+    add(stage_table(result.stages))
     add("```")
     add("")
     spans = obs.tracer.finished

@@ -56,7 +56,6 @@ from repro.serve.encode import (
     far_payload,
     sensitivity_payload,
 )
-from repro.util.timing import StageTimer
 
 __all__ = ["AnalysisService", "ServeResponse", "ANALYSIS_ENDPOINTS"]
 
@@ -110,7 +109,7 @@ class _InFlight:
     """Single-flight state for one config fingerprint."""
 
     event: threading.Event = field(default_factory=threading.Event)
-    timer: StageTimer = field(default_factory=StageTimer)
+    stages: dict = field(default_factory=dict)  # filled by the cold run
     result: Any = None          # AnalysisDataset on success
     source: str = "cold"        # "cold" | "disk"
     error: str | None = None
@@ -472,7 +471,7 @@ class AnalysisService:
             ).start()
         if not fl.event.wait(deadline):
             raise _DeadlineExceeded(
-                stages=sorted(fl.timer.durations), waiters=fl.waiters
+                stages=sorted(fl.stages), waiters=fl.waiters
             )
         if fl.error is not None:
             raise _ColdRunFailed(fl.error)
@@ -481,11 +480,11 @@ class AnalysisService:
     def _compute(self, rc: RunConfig, fp: str, fl: _InFlight) -> None:
         """Cold path, run in its own thread so deadlines can expire past it.
 
-        The run records its stages on the in-flight timer, which is what
+        The run records its stages on the in-flight record, which is what
         a request whose deadline expires reports as completed.
         """
         try:
-            res = run_pipeline(rc, timer=fl.timer)
+            res = run_pipeline(rc, stages=fl.stages)
             ds = res.dataset
             executed = len(res.executed_nodes)
         except Exception as exc:

@@ -15,8 +15,6 @@ building blocks that make that possible:
   consistent error messages.
 - :mod:`repro.util.formatting` — percent/number formatting shared by the
   ASCII reports.
-- :mod:`repro.util.timing` — a tiny wall-clock timer for benchmarks and the
-  pipeline's stage log.
 """
 
 from repro.util.rng import RngStream, derive_seed, spawn_rng
@@ -33,7 +31,6 @@ from repro.util.validation import (
     check_in,
 )
 from repro.util.formatting import fmt_count, fmt_pct, fmt_float
-from repro.util.timing import StageTimer
 
 __all__ = [
     "RngStream",
@@ -51,5 +48,4 @@ __all__ = [
     "fmt_count",
     "fmt_pct",
     "fmt_float",
-    "StageTimer",
 ]

@@ -12,7 +12,7 @@ from repro.faults import (
     RetryExhaustedError,
     RetryPolicy,
 )
-from repro.util.timing import VirtualClock
+from repro.faults.plan import VirtualClock
 
 TRANSIENT_ONLY = (1.0, 0.0, 0.0, 0.0)
 MALFORMED_ONLY = (0.0, 0.0, 0.0, 1.0)

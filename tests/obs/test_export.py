@@ -49,7 +49,7 @@ class TestMetricsFile:
         path = write_metrics(
             obs.metrics,
             tmp_path / "metrics.json",
-            timing=dict(result.timer.durations),
+            timing={name: stage.seconds for name, stage in result.stages.items()},
             meta={"seed": small_world.seed},
         )
         doc = json.loads(path.read_text(encoding="utf-8"))

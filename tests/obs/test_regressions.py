@@ -1,64 +1,86 @@
 """Regression tests for bugfixes shipped with the obs layer.
 
-1. ``StageTimer`` accumulates durations for a stage name that runs more
-   than once (a retried node, the repeated ``contracts`` hand-offs)
-   instead of overwriting the earlier entry, and ``report()`` no longer
-   misaligns names longer than 20 characters.
+1. A stage timed more than once (a retried node, a failed cache load
+   followed by the execution) **accumulates** its seconds and entry
+   count instead of overwriting the earlier entry, and the stage table
+   no longer misaligns names longer than 20 characters.
 2. ``TaskError`` preserves the original formatted traceback from the
    raise site while staying equal across the serial and parallel paths.
 """
 
+import time
+
 import pytest
 
+from repro.engine import StageGraph, StageNode, StageTime, SupervisorConfig, run_dag
+from repro.pipeline import EngineConfig
+from repro.report.textreport import stage_table
 from repro.util.parallel import ParallelConfig, TaskError, parallel_map
-from repro.util.timing import StageTimer
 
 pytestmark = pytest.mark.obs
+
+_ATTEMPTS: list[str] = []
 
 
 def _raise_value_error(x):
     raise ValueError(f"boom for {x}")
 
 
-class TestStageTimerAccumulation:
+def _slow(params, inputs):
+    time.sleep(0.002)
+    return {"slow": 1}
+
+
+def _flaky(params, inputs):
+    # fails its first attempt, then succeeds (supervised runs execute a
+    # lone node in-process, so the module-level list sees every attempt)
+    _ATTEMPTS.append("flaky")
+    if len(_ATTEMPTS) == 1:
+        raise RuntimeError("first attempt fails")
+    return {"flaky": inputs["slow"] + 1}
+
+
+def _graph(*nodes: StageNode) -> StageGraph:
+    return StageGraph(nodes=list(nodes))
+
+
+class TestStageAccumulation:
     def test_repeated_stage_accumulates(self):
-        timer = StageTimer()
-        timer.durations["contracts"] = 1.0
-        with timer.stage("contracts"):
-            pass
-        assert timer.durations["contracts"] > 1.0  # summed, not overwritten
+        stages = {"slow": StageTime(seconds=1.0, count=1)}
+        run_dag(_graph(StageNode("slow", _slow)), params={}, stages=stages)
+        assert stages["slow"].seconds > 1.0  # summed, not overwritten
+        assert stages["slow"].count == 2
 
     def test_counts_track_repeats(self):
-        timer = StageTimer()
-        for _ in range(3):
-            with timer.stage("contracts"):
-                pass
-        with timer.stage("link"):
-            pass
-        assert timer.counts == {"contracts": 3, "link": 1}
+        _ATTEMPTS.clear()
+        stages: dict[str, StageTime] = {}
+        run = run_dag(
+            _graph(StageNode("slow", _slow), StageNode("flaky", _flaky, inputs=("slow",))),
+            params={},
+            engine=EngineConfig(supervise=SupervisorConfig()),
+            stages=stages,
+        )
+        assert run["flaky"] == 2 and run.retries == 1
+        assert {name: s.count for name, s in stages.items()} == {"slow": 1, "flaky": 2}
 
     def test_report_shows_repeat_count(self):
-        timer = StageTimer()
-        for _ in range(2):
-            with timer.stage("contracts"):
-                pass
-        line = next(l for l in timer.report().splitlines() if "contracts" in l)
+        table = stage_table({"contracts": StageTime(0.001, 2), "link": StageTime(0.001, 1)})
+        line = next(l for l in table.splitlines() if "contracts" in l)
         assert "(x2)" in line
+        assert "(x" not in next(l for l in table.splitlines() if "link" in l)
 
     def test_total_sums_accumulated_durations(self):
-        timer = StageTimer()
-        timer.durations["a"] = 1.0
-        timer.durations["b"] = 2.5
-        assert timer.total() == pytest.approx(3.5)
+        table = stage_table({"a": StageTime(1.0, 1), "b": StageTime(2.5, 3)})
+        total = table.splitlines()[-1]
+        assert total.startswith("total") and "3500.00 ms" in total
 
 
 class TestReportAlignment:
     def test_long_names_stay_aligned(self):
-        timer = StageTimer()
         long_name = "a-stage-name-well-over-twenty-characters"
-        timer.durations["ingest"] = 0.001
-        timer.durations[long_name] = 0.002
-        lines = timer.report().splitlines()
+        lines = stage_table(
+            {"ingest": StageTime(0.001, 1), long_name: StageTime(0.002, 1)}
+        ).splitlines()
         assert any(long_name in l for l in lines)  # never truncated
         # the duration column starts at the same offset on every line
         cols = {l.index(" ms") for l in lines}
@@ -66,10 +88,15 @@ class TestReportAlignment:
         assert cols.pop() > len(long_name)
 
     def test_short_names_keep_historical_width(self):
-        timer = StageTimer()
-        timer.durations["ingest"] = 0.001
-        line = timer.report().splitlines()[0]
+        line = stage_table({"ingest": StageTime(0.001, 1)}).splitlines()[0]
         assert line.startswith("ingest" + " " * 14)  # padded to 20
+
+    def test_cache_hits_are_marked(self):
+        lines = stage_table(
+            {"world": StageTime(0.001, 1, cached=True), "link": StageTime(0.001, 1)}
+        ).splitlines()
+        assert lines[0].endswith("(cache hit)")
+        assert "cache hit" not in lines[1]
 
 
 class TestTaskErrorTraceback:

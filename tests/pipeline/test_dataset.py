@@ -90,7 +90,7 @@ class TestWithAssignments:
 
 class TestRunner:
     def test_timer_stages(self, small_result):
-        stages = set(small_result.timer.durations)
+        stages = set(small_result.stages)
         assert {"ingest", "link", "enrich", "infer", "dataset"} <= stages
 
     def test_coverage_property(self, small_result):

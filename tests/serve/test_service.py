@@ -198,7 +198,7 @@ class TestDeadline:
 
 
     def test_sharded_cold_run_reports_its_completed_stages(self, tmp_path, monkeypatch):
-        """The sharded cold run records on the in-flight timer too: with
+        """The sharded cold run records on the in-flight stage mapping too: with
         the merge held, a request past its budget sees the finished
         planning stage (the list used to stay empty on this path)."""
         import repro.pipeline.sharded as sharded

@@ -15,7 +15,9 @@ byte:
 - ledger bodies of uncached ``engine=None`` runs over three seeds and
   three contract/fault modes.  These were recorded from the engine path
   with ``meta.engine`` false; their ``scientific`` sections equal the
-  ones the deleted linear runner produced.
+  ones the deleted linear runner produced;
+- a cached run's ledger body does not depend on the engine's worker
+  count: a pooled generation times each node under its own name.
 """
 
 from dataclasses import replace
@@ -138,3 +140,20 @@ def test_uncached_run_bodies_unchanged(name):
     rc = uncached_configs()[name]
     assert rc.engine is None
     assert digest(run_pipeline(rc), rc) == UNCACHED[name]
+
+
+@pytest.mark.engine
+def test_pooled_engine_run_body_equals_serial(tmp_path):
+    bodies = {}
+    for workers in (1, 2):
+        rc = RunConfig(
+            world=WorldConfig(seed=7, scale=0.1),
+            obs=ObsContext(seed=7),
+            engine=EngineConfig(cache_dir=str(tmp_path / f"w{workers}"), workers=workers),
+        )
+        bodies[workers] = build_run_record(run_pipeline(rc), config=rc, command="golden").body
+    serial, pooled = bodies[1], bodies[2]
+    assert list(pooled["stages"]) == list(serial["stages"])
+    assert "enrich" in serial["stages"] and "infer" in serial["stages"]
+    assert pooled["events"] == serial["events"]
+    assert body_digest(pooled) == body_digest(serial)

@@ -1,12 +1,10 @@
-"""Tests for validation, formatting, and timing helpers."""
+"""Tests for validation and formatting helpers."""
 
 import math
-import time
 
 import pytest
 
 from repro.util.formatting import fmt_count, fmt_float, fmt_pct
-from repro.util.timing import StageTimer
 from repro.util.validation import check_fraction, check_in, check_nonnegative, check_positive
 
 
@@ -50,26 +48,3 @@ class TestFormatting:
     def test_fmt_float(self):
         assert fmt_float(3.14159, 3) == "3.14"
         assert fmt_float(float("nan")) == "n/a"
-
-
-class TestStageTimer:
-    def test_records_durations(self):
-        t = StageTimer()
-        with t.stage("a"):
-            time.sleep(0.01)
-        assert t.durations["a"] >= 0.01
-        assert t.total() == sum(t.durations.values())
-
-    def test_accumulates_repeated_stages(self):
-        t = StageTimer()
-        for _ in range(2):
-            with t.stage("s"):
-                time.sleep(0.002)
-        assert t.durations["s"] >= 0.004
-
-    def test_report_contains_stage_names(self):
-        t = StageTimer()
-        with t.stage("harvest"):
-            pass
-        out = t.report()
-        assert "harvest" in out and "total" in out
