@@ -49,7 +49,7 @@ from repro.harvest.webindex import build_name_keyed_evidence
 from repro.pipeline.dataset import AnalysisDataset
 from repro.pipeline.enrich import enrich_researchers
 from repro.pipeline.infer import infer_genders
-from repro.pipeline.ingest import IngestReport, ingest_world, ingest_world_resilient
+from repro.pipeline.ingest import IngestReport, ingest_world_resilient
 from repro.pipeline.link import link_identities
 from repro.synth.config import WorldConfig
 from repro.synth.world import build_world
@@ -108,28 +108,22 @@ def stage_ingest(params: PipelineParams, inputs: dict) -> dict:
     # a world holds one edition year: 2017 for the paper's world, the
     # shard's own year for a shard world
     (year,) = {e.year for e in world.registry.editions.values()}
+    report = ingest_world_resilient(
+        world, year=year, parallel=params.parallel, faults=params.faults
+    )
+    harvested = report.conferences
+    report = replace(report, conferences=[])  # stored once, as harvested
     session = params.contract_session()
-    report: IngestReport | None = None
-    if params.faults is None:
-        harvested = ingest_world(world, year=year, parallel=params.parallel)
-    else:
-        report = ingest_world_resilient(
-            world, year=year, parallel=params.parallel, faults=params.faults
-        )
-        harvested = report.conferences
-        report = replace(report, conferences=[])  # stored once, as harvested
     if session is not None:
-        malformed = ()
-        if report is not None:
-            malformed = tuple(
-                sorted(
-                    {
-                        r.key
-                        for r in report.losses
-                        if r.stage == "harvest" and r.reason.startswith("malformed:")
-                    }
-                )
+        malformed = tuple(
+            sorted(
+                {
+                    r.key
+                    for r in report.losses
+                    if r.stage == "harvest" and r.reason.startswith("malformed:")
+                }
             )
+        )
         harvested = validate_harvest(harvested, session, malformed)
     return {
         "harvested": harvested,
@@ -234,9 +228,9 @@ def fault_totals(
 
 def stage_finalize(params: PipelineParams, inputs: dict) -> dict:
     """Degraded-coverage assembly + the end-of-run integrity audit."""
-    report: IngestReport | None = inputs["ingest_report"]
+    report: IngestReport = inputs["ingest_report"]
     degraded = None
-    if report is not None:
+    if params.faults is not None:
         losses, stats = fault_totals(
             report, inputs["enrich_faults"], inputs["infer_faults"]
         )
@@ -264,9 +258,7 @@ def stage_finalize(params: PipelineParams, inputs: dict) -> dict:
             inputs["inference"],
             session,
             degraded=degraded,
-            proceedings_counts=(
-                report.proceedings_counts if report is not None else None
-            ),
+            proceedings_counts=report.proceedings_counts,
             enrichment_rows=len(inputs["enrichment"]),
         )
         contracts = ContractReport(
@@ -319,8 +311,9 @@ def build_graph(params: PipelineParams, prebuilt_world: bool = False) -> StageGr
             inputs=("world",),
             outputs=("harvested", "ingest_report", "contracts_ingest"),
             params=fp({"faults": params.faults, "validation": params.validation}),
-            # 2: the stored ingest_report holds harvested_editions, not the list
-            version="2",
+            # 2: the stored ingest_report holds harvested_editions, not the list;
+            # 3: every run stores an ingest_report (fault-free ones held None)
+            version="3",
         )
     )
     graph.add(

@@ -29,43 +29,30 @@ def write_trace(tracer: Tracer, path: str | Path, label: str = "repro") -> Path:
     return p
 
 
-def metrics_payload(
-    metrics: MetricsRegistry,
-    timing: dict[str, float] | None = None,
-    meta: dict | None = None,
-) -> dict:
+def metrics_payload(metrics: MetricsRegistry, meta: dict | None = None) -> dict:
     """The ``metrics.json`` document: deterministic body + timing section.
 
-    ``timing`` (stage wall-times, span durations) is the only
-    non-deterministic content and lives under its own key so consumers —
-    and the determinism tests — can exclude it wholesale.
+    ``timing`` (the ``time.*`` gauges: stage wall-times, span durations)
+    is the only non-deterministic content and lives under its own key so
+    consumers — and the determinism tests — can exclude it wholesale.
     """
     return {
         "meta": dict(sorted((meta or {}).items())),
         "metrics": metrics.to_dict(exclude_timings=True),
         "timing": {
-            **{k: round(v, 6) for k, v in sorted((timing or {}).items())},
-            **{
-                k: metrics.gauges[k]
-                for k in sorted(metrics.gauges)
-                if k.startswith("time.")
-            },
+            k: metrics.gauges[k] for k in sorted(metrics.gauges) if k.startswith("time.")
         },
     }
 
 
 def write_metrics(
-    metrics: MetricsRegistry,
-    path: str | Path,
-    timing: dict[str, float] | None = None,
-    meta: dict | None = None,
+    metrics: MetricsRegistry, path: str | Path, meta: dict | None = None
 ) -> Path:
     """Write ``metrics.json``; returns the path."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     p.write_text(
-        json.dumps(metrics_payload(metrics, timing, meta), indent=2, sort_keys=True)
-        + "\n",
+        json.dumps(metrics_payload(metrics, meta), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
     return p

@@ -5,20 +5,23 @@ deterministic parallel map (results are ordered by the edition list, and
 site generation is a pure function of the registry, so worker count
 cannot change the output).
 
-Two entry points:
+:func:`ingest_world_resilient` is the one harvest body.  Every run
+takes it and gets an :class:`IngestReport`, whose per-edition
+proceedings counts the integrity audit checks the scraped papers
+against.  With ``faults=None`` each edition's site and proceedings are
+fetched directly: nothing is drawn, retried or counted.  Under a
+:class:`~repro.faults.plan.FaultConfig` every harvest task owns its own
+:class:`~repro.faults.session.FaultSession`: injected fetch failures
+are retried (virtual-clock backoff), malformed pages are scraped as-is,
+and an edition that exhausts its retries is *dropped and recorded*
+instead of aborting the run.  Breaker state and virtual time are
+per-item, so the report is bit-identical across worker counts.
 
-- :func:`ingest_world` — the fault-free fast path, unchanged semantics.
-- :func:`ingest_world_resilient` — the same harvest under a
-  :class:`~repro.faults.plan.FaultConfig`: injected fetch failures are
-  retried (virtual-clock backoff), malformed pages are scraped as-is,
-  an edition that exhausts its retries is *dropped and recorded* in the
-  returned :class:`IngestReport` instead of aborting the run.
-
-Every harvest task owns its own :class:`~repro.faults.session.FaultSession`,
-so breaker state and virtual time are per-item and the report is
-bit-identical across worker counts.  Tasks run under
+A faulted harvest runs its tasks under
 ``parallel_map(..., capture_errors=True)``: even a genuine bug in one
-edition's scrape surfaces as a loss record, not a dead pool.
+edition's scrape surfaces as a loss record, not a dead pool.  Without
+a fault plan there is no loss accounting, so such a bug raises.
+:func:`ingest_world` is a thin name for the harvested list.
 """
 
 from __future__ import annotations
@@ -40,22 +43,9 @@ from repro.util.parallel import ParallelConfig, TaskError, parallel_map
 __all__ = [
     "ingest_world",
     "ingest_world_resilient",
-    "harvest_one",
     "HarvestOutcome",
     "IngestReport",
 ]
-
-def harvest_one(args: tuple[SyntheticWorld, str, int]) -> HarvestedConference:
-    """Generate + scrape one conference edition (module-level: picklable)."""
-    world, conference, year = args
-    ctx = _obs()
-    with ctx.span("harvest.edition", conf=conference, year=year):
-        site = generate_site(world.registry, conference, year)
-        proceedings = build_proceedings(world.registry, conference, year)
-        conf = scrape_site(site, proceedings)
-    ctx.metrics.inc("harvest.editions")
-    ctx.metrics.observe("harvest.papers_per_edition", len(conf.papers))
-    return conf
 
 
 def _editions_of(world: SyntheticWorld, year: int):
@@ -63,20 +53,6 @@ def _editions_of(world: SyntheticWorld, year: int):
         (e for e in world.registry.editions.values() if e.year == year),
         key=lambda e: e.date,
     )
-
-
-def ingest_world(
-    world: SyntheticWorld,
-    year: int = 2017,
-    parallel: ParallelConfig | None = None,
-) -> list[HarvestedConference]:
-    """Scrape every conference edition of ``year`` (fault-free path)."""
-    editions = _editions_of(world, year)
-    tasks = [(world, e.name, e.year) for e in editions]
-    return parallel_map(harvest_one, tasks, parallel)
-
-
-# ----------------------------------------------------------- resilient path
 
 
 @dataclass
@@ -109,13 +85,13 @@ class IngestReport:
     proceedings_counts: dict[str, int] = field(default_factory=dict)
 
 
-def _harvest_resilient(
+def _harvest_edition(
     args: tuple[SyntheticWorld, str, int, FaultConfig | None],
 ) -> HarvestOutcome:
-    """Harvest one edition under the fault plan (module-level: picklable)."""
+    """Harvest one edition, under the fault plan if any (module-level: picklable)."""
     world, conference, year, faults = args
     key = f"{conference}-{year}"
-    session = FaultSession(faults)
+    session = FaultSession(faults) if faults is not None else None
     ctx = _obs()
 
     def fetch():
@@ -132,27 +108,27 @@ def _harvest_resilient(
         return site, proceedings
 
     with ctx.span("harvest.edition", conf=conference, year=year):
-        try:
-            site, proceedings = session.call(
-                "harvest", (conference, year), fetch, malform=malform
-            )
-        except FaultError as exc:
-            session.record_loss("harvest", key, exc.reason)
-            ctx.annotate(lost=exc.reason)
-            ctx.metrics.inc("harvest.editions_lost")
-            return HarvestOutcome(key, None, tuple(session.losses), session.snapshot)
-        for tag in applied_tags:
-            session.record_loss("harvest", key, f"malformed:{tag}")
+        if session is None:
+            site, proceedings = fetch()
+        else:
+            try:
+                site, proceedings = session.call(
+                    "harvest", (conference, year), fetch, malform=malform
+                )
+            except FaultError as exc:
+                session.record_loss("harvest", key, exc.reason)
+                ctx.annotate(lost=exc.reason)
+                ctx.metrics.inc("harvest.editions_lost")
+                return HarvestOutcome(key, None, tuple(session.losses), session.snapshot)
+            for tag in applied_tags:
+                session.record_loss("harvest", key, f"malformed:{tag}")
         conf = scrape_site(site, proceedings)
     ctx.metrics.inc("harvest.editions")
     ctx.metrics.observe("harvest.papers_per_edition", len(conf.papers))
-    return HarvestOutcome(
-        key,
-        conf,
-        tuple(session.losses),
-        session.snapshot,
-        proceedings_count=len(proceedings),
+    losses, stats = ((), FaultStats()) if session is None else (
+        tuple(session.losses), session.snapshot
     )
+    return HarvestOutcome(key, conf, losses, stats, proceedings_count=len(proceedings))
 
 
 def ingest_world_resilient(
@@ -161,11 +137,13 @@ def ingest_world_resilient(
     parallel: ParallelConfig | None = None,
     faults: FaultConfig | None = None,
 ) -> IngestReport:
-    """Scrape every edition of ``year`` under faults, never raising."""
+    """Scrape every edition of ``year``; under faults, never raising."""
     editions = _editions_of(world, year)
     report = IngestReport(total_editions=len(editions))
     tasks = [(world, e.name, e.year, faults) for e in editions]
-    results = parallel_map(_harvest_resilient, tasks, parallel, capture_errors=True)
+    results = parallel_map(
+        _harvest_edition, tasks, parallel, capture_errors=faults is not None
+    )
     for e, result in zip(editions, results):
         key = f"{e.name}-{e.year}"
         if isinstance(result, TaskError):
@@ -182,3 +160,12 @@ def ingest_world_resilient(
             report.harvested_editions += 1
             report.proceedings_counts[key] = result.proceedings_count
     return report
+
+
+def ingest_world(
+    world: SyntheticWorld,
+    year: int = 2017,
+    parallel: ParallelConfig | None = None,
+) -> list[HarvestedConference]:
+    """The conferences :func:`ingest_world_resilient` harvests without faults."""
+    return ingest_world_resilient(world, year, parallel).conferences

@@ -31,7 +31,7 @@ this graph when ``RunConfig.shards`` (or a shard plan) is given.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,10 +81,10 @@ class ShardResult:
     year: int
     dataset: AnalysisDataset
     name_keys: tuple[str, ...]          # aligned with dataset.researchers rows
-    losses: list[LossRecord] = field(default_factory=list)
-    stats: FaultStats | None = None
-    total_editions: int = 1
-    harvested_editions: int = 1
+    losses: list[LossRecord]
+    stats: FaultStats
+    total_editions: int
+    harvested_editions: int
 
 
 def stage_shard(spec: ShardSpec, params: ShardParams, inputs: dict) -> dict:
@@ -124,15 +124,8 @@ def stage_shard(spec: ShardSpec, params: ShardParams, inputs: dict) -> dict:
     for stage in (stage_ingest, stage_link, stage_enrich, stage_infer, stage_dataset):
         art.update(stage(stage_params, art))
 
-    losses: list[LossRecord] = []
-    stats: FaultStats | None = None
-    total = harvested_n = 1
     report = art["ingest_report"]
-    if report is not None:  # the run has faults
-        losses, stats = fault_totals(report, art["enrich_faults"], art["infer_faults"])
-        total = report.total_editions
-        harvested_n = report.harvested_editions
-
+    losses, stats = fault_totals(report, art["enrich_faults"], art["infer_faults"])
     dataset, linked = art["dataset"], art["linked"]
     name_keys = tuple(
         linked.researchers[rid].name_key for rid in dataset.researchers["researcher_id"]
@@ -145,8 +138,8 @@ def stage_shard(spec: ShardSpec, params: ShardParams, inputs: dict) -> dict:
         name_keys=name_keys,
         losses=losses,
         stats=stats,
-        total_editions=total,
-        harvested_editions=harvested_n,
+        total_editions=report.total_editions,
+        harvested_editions=report.harvested_editions,
     )
     return {f"shard:{spec.key}": result}
 
@@ -299,8 +292,7 @@ def stage_merge(params: ShardParams, inputs: dict) -> dict:
         stats = FaultStats()
         losses: list[LossRecord] = []
         for sh in shards:
-            if sh.stats is not None:
-                stats.merge(sh.stats)
+            stats.merge(sh.stats)
             losses.extend(sh.losses)
         degraded = DegradedCoverage.from_parts(
             total_editions=sum(sh.total_editions for sh in shards),

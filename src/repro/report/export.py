@@ -93,7 +93,6 @@ def export_artifact(result: PipelineResult, out_dir: str | Path) -> Path:
         write_metrics(
             result.obs.metrics,
             out / "metrics.json",
-            timing={name: stage.seconds for name, stage in result.stages.items()},
             meta={"version": __version__, "seed": result.world_config.seed},
         )
         manifest["trace"] = "trace.json"

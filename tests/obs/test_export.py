@@ -47,10 +47,7 @@ class TestMetricsFile:
     def test_metrics_json_shape(self, small_world, tmp_path):
         obs, result = _traced_run(small_world)
         path = write_metrics(
-            obs.metrics,
-            tmp_path / "metrics.json",
-            timing={name: stage.seconds for name, stage in result.stages.items()},
-            meta={"seed": small_world.seed},
+            obs.metrics, tmp_path / "metrics.json", meta={"seed": small_world.seed}
         )
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert set(doc) == {"meta", "metrics", "timing"}
@@ -58,6 +55,8 @@ class TestMetricsFile:
         assert doc["metrics"]["counters"]["harvest.editions"] > 0
         assert not any(k.startswith("time.") for k in doc["metrics"]["gauges"])
         assert any(k.startswith("time.stage.") for k in doc["timing"])
+        # each stage's seconds appear once, as its time.stage.* gauge
+        assert not set(result.stages) & set(doc["timing"])
 
     def test_metrics_json_deterministic_outside_timing(self, small_world, tmp_path):
         texts = []
@@ -81,7 +80,8 @@ class TestExportArtifact:
         assert manifest["trace"] == "trace.json"
         assert manifest["metrics"] == "metrics.json"
         json.loads((out / "trace.json").read_text(encoding="utf-8"))
-        json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+        doc = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+        assert not set(result.stages) & set(doc["timing"])
 
     def test_bundle_without_obs_has_no_obs_keys(self, small_result, tmp_path):
         from repro.report.export import export_artifact

@@ -724,7 +724,8 @@ def test_merge_of_shards_that_lost_every_edition():
             role_slots=Table.from_records([], columns=["researcher_id", "year"]),
         )
         return ShardResult(key=key, conference=key[:-5], year=2017, dataset=dataset,
-                           name_keys=(), total_editions=1, harvested_editions=0)
+                           name_keys=(), losses=[], stats=FaultStats(),
+                           total_editions=1, harvested_editions=0)
 
     keys = ("A-2017", "B-2017")
     params = ShardParams(config=WorldConfig(), policy=None, faults=None, order=keys)
