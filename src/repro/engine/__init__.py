@@ -10,10 +10,12 @@ Every pipeline run executes as an explicit dependency graph:
 - :mod:`repro.engine.cache` — the content-addressed artifact cache
   (atomic, fsynced writes; the pipeline's one persistence mechanism);
 - :mod:`repro.engine.executor` — the scheduler: cache-or-execute per
-  node, independent nodes concurrently via ``parallel_map``;
+  node, every generation through one attempt loop whose independent
+  nodes run concurrently via ``parallel_map``;
 - :mod:`repro.engine.supervise` — supervised execution: bounded
-  retries on a virtual clock, per-node deadlines (wall watchdog on
-  worker pools), failure isolation, deterministic chaos injection;
+  retries on a virtual clock, per-node deadlines (``parallel_map``'s
+  wall deadlines on worker pools), failure isolation, deterministic
+  chaos injection;
 - :mod:`repro.engine.stages` — the pipeline's stages as node bodies
   (their only definition; the sharded path composes them too).
 
@@ -33,7 +35,6 @@ from repro.engine.supervise import (
     NodePolicy,
     Supervisor,
     SupervisorConfig,
-    watchdog_map,
 )
 
 __all__ = [
@@ -57,5 +58,4 @@ __all__ = [
     "SupervisorConfig",
     "Supervisor",
     "IncompleteRunError",
-    "watchdog_map",
 ]

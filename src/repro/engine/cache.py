@@ -45,7 +45,7 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.engine.fingerprint import ENGINE_SCHEMA
 from repro.obs.context import current as _obs
@@ -76,15 +76,39 @@ QUARANTINE_DIR = "quarantine"
 _ENVELOPE_KEYS = {"key", "digest", "payload"}
 
 
-def _payload_fault(envelope: dict) -> str | None:
-    """``"digest-mismatch"`` unless the payload is bytes matching its digest."""
+def _unpack(
+    path: Path, outputs: Iterable[str] | None, key_ok: Callable[[Any], bool]
+) -> tuple[dict[str, Any] | None, str | None]:
+    """Verify one entry and unpickle ``outputs`` (default: every output).
+
+    Returns ``(outputs, None)`` for a servable entry, ``(None, None)``
+    for a file that vanished, and ``(None, reason)`` otherwise:
+    ``unreadable``, ``malformed-envelope``, ``key-mismatch`` (a
+    well-formed envelope whose key fails ``key_ok``), ``digest-mismatch``
+    or ``unpicklable-payload``.
+    """
+    try:
+        envelope = pickle.loads(path.read_bytes())
+    except FileNotFoundError:
+        return None, None  # concurrent gc/quarantine won the race
+    except Exception:
+        return None, "unreadable"  # torn write or foreign bytes
+    if not isinstance(envelope, dict) or not _ENVELOPE_KEYS <= set(envelope):
+        return None, "malformed-envelope"
+    if not key_ok(envelope["key"]):
+        return None, "key-mismatch"
     payload = envelope["payload"]
     if (
         not isinstance(payload, bytes)
         or hashlib.sha256(payload).hexdigest() != envelope["digest"]
     ):
-        return "digest-mismatch"
-    return None
+        return None, "digest-mismatch"
+    try:
+        parts = pickle.loads(payload)
+        names = parts if outputs is None else outputs
+        return {name: pickle.loads(parts[name]) for name in names}, None
+    except Exception:
+        return None, "unpicklable-payload"
 
 
 class CacheMismatch(ValueError):
@@ -223,36 +247,15 @@ class ArtifactCache:
         ``KeyError``: a damaged cache can cost recompute time, never a
         run.
         """
-        entry = self._entry(node, key)
-        path = self.entry_path(node, key)
-        if not path.exists():
+        loaded, reason = _unpack(self.entry_path(node, key), outputs, lambda k: k == key)
+        if loaded is not None:
+            return loaded
+        if reason in (None, "key-mismatch"):
+            # vanished, or a 24-hex-char prefix collision (astronomically
+            # unlikely): a *well-formed* entry for a different key.  A
+            # miss — but not corruption, so the other run's entry stays.
             raise KeyError(f"cache miss for node {node!r} key {key[:12]}…")
-        try:
-            envelope = pickle.loads(path.read_bytes())
-        except FileNotFoundError:
-            # concurrent gc/quarantine won the race; a plain miss
-            raise KeyError(f"cache miss for node {node!r} key {key[:12]}…")
-        except Exception:
-            # torn write or foreign bytes: unpickling the envelope failed
-            self._quarantine(entry, node, "unreadable")
-            raise KeyError(f"quarantined unreadable entry for node {node!r}")
-        if not isinstance(envelope, dict) or not _ENVELOPE_KEYS <= set(envelope):
-            self._quarantine(entry, node, "malformed-envelope")
-            raise KeyError(f"quarantined malformed entry for node {node!r}")
-        if envelope["key"] != key:
-            # 24-hex-char prefix collision (astronomically unlikely): a
-            # *well-formed* entry for a different key.  A miss — but not
-            # corruption, so the other run's entry stays where it is.
-            raise KeyError(f"cache entry for node {node!r} does not match key")
-        reason = _payload_fault(envelope)
-        if reason is None:
-            try:
-                parts = pickle.loads(envelope["payload"])
-                names = parts if outputs is None else outputs
-                return {name: pickle.loads(parts[name]) for name in names}
-            except Exception:
-                reason = "unpicklable-payload"
-        self._quarantine(entry, node, reason)
+        self._quarantine(self._entry(node, key), node, reason)
         raise KeyError(f"quarantined {reason} entry for node {node!r}")
 
     def save(self, node: str, key: str, outputs: dict[str, Any]) -> None:
@@ -327,28 +330,15 @@ class ArtifactCache:
         return {"checked": checked, "ok": checked - len(bad), "quarantined": bad}
 
     def _entry_fault(self, entry: str) -> str | None:
-        """The reason one entry is damaged, or ``None`` if servable."""
-        try:
-            envelope = pickle.loads(self._path(entry).read_bytes())
-        except FileNotFoundError:
-            return None  # vanished mid-scan: nothing left to quarantine
-        except Exception:
-            return "unreadable"
-        if not isinstance(envelope, dict) or not _ENVELOPE_KEYS <= set(envelope):
-            return "malformed-envelope"
-        key = envelope["key"]
-        if not isinstance(key, str) or not entry.endswith(key[:24]):
-            return "key-mismatch"
-        reason = _payload_fault(envelope)
-        if reason is not None:
-            return reason
-        try:
-            # every output, not just the ones some run happens to read
-            for part in pickle.loads(envelope["payload"]).values():
-                pickle.loads(part)
-        except Exception:
-            return "unpicklable-payload"
-        return None
+        """The reason one entry is damaged, or ``None`` if servable (or gone).
+
+        Unpickles every output, not just the ones some run happens to
+        read; a key that does not match the file name is damage here.
+        """
+        _, reason = _unpack(
+            self._path(entry), None, lambda k: isinstance(k, str) and entry.endswith(k[:24])
+        )
+        return reason
 
     # ------------------------------------------------------------ accounting
 

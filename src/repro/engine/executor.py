@@ -14,22 +14,27 @@ generations and either
   is counted as a hit without being loaded (see :class:`_Execution`), or
 - **executes it** (``engine.cache.misses``), concurrently with the rest
   of its generation when an :class:`EngineConfig` requests workers —
-  via the same deterministic ``parallel_map`` pool the ingest stage
-  uses, so results are bit-identical across worker counts — and stores
-  the outputs for the next run as soon as the node finishes (inside
-  the worker, for pooled generations), so a run that dies part-way
-  keeps every node it completed.
+  ``min(workers, nodes)`` processes of the same deterministic
+  ``parallel_map`` pool the ingest stage uses, so results are
+  bit-identical across worker counts; a serial generation runs each
+  node in the caller's observability context — and stores the outputs
+  for the next run as soon as the node finishes (inside the worker, for
+  pooled generations), so a run that dies part-way keeps every node it
+  completed.
 
 Execution policy (worker counts, directories, refresh) never enters a
 key: a serial run and a parallel run address the same cache entries.
 
-With ``EngineConfig.supervise`` (or ``chaos``) set, execution runs
-under a :class:`~repro.engine.supervise.Supervisor`: node failures are
-retried with virtual-clock backoff, deadlines are enforced, and a node
-that exhausts its attempts is recorded in :attr:`EngineRun.failed`
-while only its downstream nodes are skipped — independent branches of
-the DAG keep executing.  Without supervision the historical contract
-holds exactly: any node exception propagates and aborts the run.
+Every generation runs through one attempt loop under a
+:class:`~repro.engine.supervise.Supervisor`.  With
+``EngineConfig.supervise`` (or ``chaos``) set, node failures are
+captured and retried with virtual-clock backoff, deadlines are
+enforced, and a node that exhausts its attempts is recorded in
+:attr:`EngineRun.failed` while only its downstream nodes are skipped —
+independent branches of the DAG keep executing.  Without supervision
+the loop makes one attempt with no chaos draws and no error capture, so
+the historical contract holds exactly: any node exception propagates,
+as itself, and aborts the run.
 """
 
 from __future__ import annotations
@@ -43,18 +48,22 @@ from repro.engine.cache import ArtifactCache, CacheWriteError
 from repro.engine.dag import StageGraph
 from repro.engine.fingerprint import fingerprint
 from repro.engine.node import NodeResult, StageNode, StageTime
-from repro.engine.supervise import (
-    DEADLINE_ERROR,
-    Supervisor,
-    SupervisorConfig,
-    watchdog_map,
-)
+from repro.engine.supervise import NodePolicy, Supervisor, SupervisorConfig
 from repro.faults.chaos import ChaosKind
 from repro.obs.context import current as _obs
 from repro.pipeline.config import EngineConfig
-from repro.util.parallel import ParallelConfig, TaskError, parallel_map
+from repro.util.parallel import (
+    DEADLINE_ERROR,
+    ParallelConfig,
+    TaskError,
+    _CaptureErrors,
+    parallel_map,
+)
 
 __all__ = ["EngineConfig", "EngineRun", "run_dag"]
+
+#: the policy of an unsupervised run: one attempt (and no chaos plan)
+_ONE_ATTEMPT = SupervisorConfig(default=NodePolicy(max_attempts=1))
 
 
 @dataclass
@@ -153,9 +162,11 @@ def run_dag(
     """
     cfg = engine or EngineConfig()
     cache = ArtifactCache(cfg.cache_dir) if cfg.cache_dir is not None else None
-    sup: Supervisor | None = None
-    if cfg.supervise is not None or cfg.chaos is not None:
-        sup = Supervisor(cfg.supervise or SupervisorConfig(), chaos=cfg.chaos)
+    supervised = cfg.supervise is not None or cfg.chaos is not None
+    sup = Supervisor(
+        (cfg.supervise or SupervisorConfig()) if supervised else _ONE_ATTEMPT,
+        chaos=cfg.chaos,
+    )
     run = EngineRun(artifacts=dict(seeds or {}))
     digests: dict[str, str] = dict(seed_digests or {})
     for name in run.artifacts:
@@ -164,14 +175,13 @@ def run_dag(
     generations = graph.generations()
     execution = _Execution(
         graph, run, _node_keys(generations, digests), digests,
-        params, cfg, cache, sup, stages, want,
+        params, cfg, cache, sup, supervised, stages, want,
     )
     for generation in generations:
         execution.generation(generation)
     execution.finish()
-    if sup is not None:
-        run.retries = sup.retries
-        run.virtual_time = sup.clock.now
+    run.retries = sup.retries
+    run.virtual_time = sup.clock.now
     return run
 
 
@@ -213,14 +223,18 @@ class _Execution:
     (the cache quarantines the entry), the node executes after its
     missing inputs are provided: loaded on demand from their deferred
     producers, or executed in turn if those loads fail too.
+
+    ``capture`` (a supervised run) turns a failed attempt into a
+    :class:`~repro.util.parallel.TaskError` the attempt loop retries or
+    records; without it the node's exception propagates.
     """
 
     def __init__(
-        self, graph, run, keys, digests, params, cfg, cache, sup, stages, want
+        self, graph, run, keys, digests, params, cfg, cache, sup, capture, stages, want
     ) -> None:
         self.run, self.keys, self.digests = run, keys, digests
         self.params, self.cfg, self.cache = params, cfg, cache
-        self.sup, self.stages = sup, stages
+        self.sup, self.capture, self.stages = sup, capture, stages
         self.producer = graph.producers()
         self.executes = {
             n.name
@@ -292,12 +306,7 @@ class _Execution:
                 self._skip(node, blocked)
             else:
                 runnable.append(node)
-        if not runnable:
-            return
-        if self.sup is not None:
-            self._run_supervised(runnable)
-        else:
-            self._run_bare(runnable)
+        self._run(runnable)
 
     def _provide(self, artifacts: tuple[str, ...]) -> None:
         """Load (or, failing that, execute) the producers of absent inputs."""
@@ -333,21 +342,27 @@ class _Execution:
         self._record(node.name, 0.0, cached=True)
         self.deferred[node.name] = node
 
-    def _serve(self, node: StageNode, outputs: list[str]) -> bool:
-        """Serve ``node`` from its entry, unpickling ``outputs``; False on a miss."""
-        ctx = _obs()
+    def _load(self, node: StageNode, outputs: list[str]) -> tuple[dict | None, float]:
+        """``outputs`` of ``node``'s entry (``None`` on a miss), and the seconds taken.
+
+        A miss is a key-prefix collision, a concurrent eviction, or a
+        corrupt entry (now quarantined by the cache itself).
+        """
         t0 = time.perf_counter()
         try:
-            with _stage_span(self.stages is not None, node.name), ctx.span(
-                "engine.node", node=node.name, cache_hit=True
-            ):
-                loaded = self.cache.load(node.name, self.keys[node.name], outputs=outputs)
+            loaded = self.cache.load(node.name, self.keys[node.name], outputs=outputs)
         except KeyError:
-            # has() lied: a key-prefix collision, a concurrent eviction,
-            # or a corrupt entry (now quarantined by the cache itself);
-            # the failed load counts, the execution that follows adds to it
             loaded = None
-        self._record(node.name, time.perf_counter() - t0, cached=loaded is not None)
+        return loaded, time.perf_counter() - t0
+
+    def _serve(self, node: StageNode, outputs: list[str]) -> bool:
+        """Serve ``node`` from its entry, unpickling ``outputs``; False on a miss."""
+        with _stage_span(self.stages is not None, node.name), _obs().span(
+            "engine.node", node=node.name, cache_hit=True
+        ):
+            loaded, seconds = self._load(node, outputs)
+        # a failed load counts, the execution that follows adds to it
+        self._record(node.name, seconds, cached=loaded is not None)
         if loaded is None:
             return False
         self._hit(node, loaded)
@@ -355,13 +370,9 @@ class _Execution:
 
     def _read(self, node: StageNode, outputs: list[str]) -> bool:
         """Load ``outputs`` of an already-served node on demand."""
-        t0 = time.perf_counter()
-        try:
-            loaded = self.cache.load(node.name, self.keys[node.name], outputs=outputs)
-        except KeyError:
-            loaded = None
+        loaded, seconds = self._load(node, outputs)
         # the node's entry already counts its hit: the read adds seconds
-        self._record(node.name, time.perf_counter() - t0, cached=True, count=0)
+        self._record(node.name, seconds, cached=True, count=0)
         if loaded is None:
             return False
         if self.deferred.pop(node.name, None) is not None:
@@ -410,31 +421,37 @@ class _Execution:
             for node in nodes
         ]
 
-    def _run_bare(self, pending: list[StageNode]) -> None:
-        """Historical semantics: any exception aborts."""
-        ctx, cfg = _obs(), self.cfg
-        tasks = self._tasks(pending)
-        if cfg.workers and cfg.workers > 1 and len(pending) > 1:
-            pool = ParallelConfig(workers=cfg.workers, min_items_per_worker=1)
-            produced = parallel_map(_node_task, tasks, pool)
-        else:
-            produced = [_node_task(task) for task in tasks]
+    def _dispatch(self, nodes: list[StageNode]) -> list:
+        """One attempt of each node: ``(outputs, seconds)``, or a captured error.
 
-        for node, (outputs, seconds) in zip(pending, produced):
-            self._record(node.name, seconds, cached=False)
-            ctx.metrics.inc("engine.cache.misses")
-            ctx.metrics.inc("engine.nodes_executed")
-            self._adopt(node, outputs, cache_hit=False)
-
-    def _run_supervised(self, pending: list[StageNode]) -> None:
-        """Under supervision: retry, deadline, isolate.
-
-        Rounds of attempts: every still-active node gets attempt *k*
-        together, outcomes are folded in the given order (so events and
-        accounting are worker-count independent), failures under their
-        attempt budget are backed off on the virtual clock and re-queued.
+        ``min(workers, len(nodes))`` processes run the attempts through
+        ``parallel_map``, each within its node's wall deadline.  A serial
+        dispatch runs each task here, in the caller's observability
+        context, so ``--profile`` and trace nesting see every node.
         """
-        ctx, cfg, sup = _obs(), self.cfg, self.sup
+        tasks = self._tasks(nodes)
+        workers = min(self.cfg.workers or 1, len(nodes))
+        if workers > 1:
+            return parallel_map(
+                _node_task,
+                tasks,
+                ParallelConfig(workers=workers, min_items_per_worker=1),
+                capture_errors=self.capture,
+                deadlines=[self.sup.policy(n.name).deadline for n in nodes],
+            )
+        task = _CaptureErrors(_node_task) if self.capture else _node_task
+        return [task(t) for t in tasks]
+
+    def _run(self, pending: list[StageNode]) -> None:
+        """Retry, deadline, isolate: rounds of attempts.
+
+        Every still-active node gets attempt *k* together, outcomes are
+        folded in the given order (so events and accounting are
+        worker-count independent), failures under their attempt budget
+        are backed off on the virtual clock and re-queued.  Unsupervised
+        there is one round, no chaos draw and no captured failure.
+        """
+        ctx, sup = _obs(), self.sup
         cache, keys = self.cache, self.keys
         attempts = {n.name: 0 for n in pending}
         active = list(pending)
@@ -469,27 +486,15 @@ class _Execution:
                 else:
                     dispatch.append(node)
 
-            if dispatch:
-                tasks = self._tasks(dispatch)
-                deadlines = [sup.policy(n.name).deadline for n in dispatch]
-                use_pool = cfg.workers and cfg.workers > 1 and len(dispatch) > 1
-                if use_pool and any(d is not None for d in deadlines):
-                    produced = watchdog_map(
-                        _node_task, tasks, deadlines, workers=cfg.workers
-                    )
+            for node, out in zip(dispatch, self._dispatch(dispatch)):
+                if isinstance(out, TaskError):
+                    # a failed attempt counts; its seconds stayed
+                    # in the process that ran it
+                    self._record(node.name, 0.0, cached=False)
+                    outcomes[node.name] = out
                 else:
-                    # serially too: the pool's capture + obs adoption discipline
-                    pool = ParallelConfig(workers=cfg.workers or 0, min_items_per_worker=1)
-                    produced = parallel_map(_node_task, tasks, pool, capture_errors=True)
-                for node, out in zip(dispatch, produced):
-                    if isinstance(out, TaskError):
-                        # a failed attempt counts; its seconds stayed
-                        # in the process that ran it
-                        self._record(node.name, 0.0, cached=False)
-                        outcomes[node.name] = out
-                    else:
-                        outcomes[node.name], seconds = out
-                        self._record(node.name, seconds, cached=False)
+                    outcomes[node.name], seconds = out
+                    self._record(node.name, seconds, cached=False)
 
             retry: list[StageNode] = []
             for node in active:

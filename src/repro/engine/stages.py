@@ -212,14 +212,15 @@ def _merge_sessions(
     return merged
 
 
-def fault_totals(
-    report: IngestReport, enrich: FaultPart | None, infer: FaultPart | None
-) -> tuple[list[LossRecord], FaultStats]:
-    """A faulted run's losses and counters: ingest's, enrich's, then infer's."""
+def fault_totals(*parts) -> tuple[list[LossRecord], FaultStats]:
+    """Losses and counters folded in order over ``parts`` (``None`` skipped).
+
+    A part is anything with ``.losses`` and ``.stats``: an ingest
+    report, a stage's :class:`FaultPart`, a shard's result.
+    """
     stats = FaultStats()
-    stats.merge(report.stats)
-    losses = list(report.losses)
-    for part in (enrich, infer):
+    losses: list[LossRecord] = []
+    for part in parts:
         if part is not None:
             stats.merge(part.stats)
             losses.extend(part.losses)

@@ -1,10 +1,12 @@
 """Supervised node execution: retries, deadlines, failure isolation.
 
-The bare executor treats any node exception as fatal — correct for a
+An unsupervised run treats any node exception as fatal — correct for a
 deterministic in-process pipeline, wrong for the long multi-venue runs
 the ROADMAP points at, where a single flaky stage body or hung worker
 would throw away hours of completed work.  This module gives every
-:class:`~repro.engine.node.StageNode` an execution policy:
+:class:`~repro.engine.node.StageNode` an execution policy, which the
+executor's one attempt loop applies (an unsupervised run is that loop
+with one attempt, no chaos and no error capture):
 
 - **bounded retries** with the exponential-backoff-plus-jitter
   discipline of :class:`repro.faults.plan.RetryPolicy`, charged to a
@@ -12,8 +14,9 @@ would throw away hours of completed work.  This module gives every
   and the accumulated backoff is identical across worker counts;
 - **per-node deadlines**, enforced two ways: *virtually* for chaos
   hangs (the plan never blocks, the clock is charged what a watchdog
-  would have waited), and by a *wall watchdog* (:func:`watchdog_map`)
-  when real worker processes might genuinely wedge;
+  would have waited), and on the wall clock by the deadlines of
+  :func:`~repro.util.parallel.parallel_map` when real worker processes
+  might genuinely wedge;
 - **failure isolation**: a node that exhausts its attempts is recorded
   in ``EngineRun.failed`` and only its downstream artifacts are marked
   skipped — independent branches of the generation keep executing.
@@ -26,33 +29,19 @@ by the same seed discipline it is built on.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 from repro.faults.chaos import ChaosConfig, ChaosKind, ChaosPlan, corrupt_bytes
 from repro.faults.plan import RetryPolicy, VirtualClock
-from repro.obs.context import ObsEnvelope
-from repro.obs.context import current as _obs_current
-
-# the error-capture / per-item obs-capture wrappers are deliberately
-# shared with parallel_map: watchdog_map must produce the same TaskError
-# values and adopt envelopes under the same input-order discipline
-from repro.util.parallel import TaskError, _CaptureErrors, _ObsTask
 
 __all__ = [
     "NodePolicy",
     "SupervisorConfig",
     "Supervisor",
     "IncompleteRunError",
-    "watchdog_map",
-    "DEADLINE_ERROR",
 ]
-
-#: the TaskError kind a watchdog (wall or virtual) produces for a hung node
-DEADLINE_ERROR = "NodeDeadlineExceeded"
 
 
 @dataclass(frozen=True)
@@ -63,7 +52,8 @@ class NodePolicy:
     prices the virtual-clock delay between attempts; ``deadline`` is
     the per-attempt time budget in seconds (``None`` = unbounded) —
     charged virtually for chaos hangs, enforced on the wall clock by
-    :func:`watchdog_map` when the generation runs on worker processes.
+    :func:`~repro.util.parallel.parallel_map` when the generation runs
+    on worker processes.
     """
 
     max_attempts: int = 3
@@ -200,95 +190,3 @@ class Supervisor:
         self.clock.sleep(cost)
         self.timeouts += 1
         return cost
-
-
-def watchdog_map(
-    fn: Callable,
-    items: Sequence,
-    deadlines: Sequence[float | None],
-    workers: int,
-    capture_errors: bool = True,
-) -> list:
-    """``parallel_map`` with a wall-clock deadline per item.
-
-    Results come back in input order; an item whose worker is still
-    running when its deadline expires yields a
-    ``TaskError(kind=DEADLINE_ERROR)`` in its slot and its future is
-    abandoned (``cancel_futures`` on shutdown — a genuinely wedged
-    worker process cannot be reasoned with, only cut loose).  Other
-    items are unaffected: the watchdog is per-task, not per-pool.
-
-    Obs capture follows the ``parallel_map`` discipline — per-item
-    envelopes adopted in input order — except that a timed-out item
-    contributes no events (its worker never reported back).  Wall
-    deadlines are inherently nondeterministic; deterministic runs get
-    their timeouts from the chaos plan's *virtual* hangs instead.
-    """
-    seq = list(items)
-    if len(deadlines) != len(seq):
-        raise ValueError("deadlines must align with items")
-    if not seq:
-        return []
-    if capture_errors:
-        fn = _CaptureErrors(fn)
-    ctx = _obs_current()
-    observed = ctx.enabled
-    if observed:
-        path = ctx.tracer.current_path() + ("watchdog_map",)
-        mapped: Callable = _ObsTask(fn, ctx.tracer.seed, path)
-        work: Sequence = list(enumerate(seq))
-    else:
-        mapped = fn
-        work = seq
-
-    results: list[Any] = [None] * len(seq)
-    pool = ProcessPoolExecutor(max_workers=min(max(1, workers), len(seq)))
-    try:
-        index_of = {pool.submit(mapped, w): i for i, w in enumerate(work)}
-        start = time.monotonic()
-        outstanding = set(index_of)
-        while outstanding:
-            now = time.monotonic() - start
-            budgets = [
-                deadlines[index_of[f]] - now
-                for f in outstanding
-                if deadlines[index_of[f]] is not None
-            ]
-            timeout = max(0.0, min(budgets)) if budgets else None
-            done, outstanding = wait(
-                outstanding, timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            for f in done:
-                results[index_of[f]] = f.result()
-            now = time.monotonic() - start
-            expired = {
-                f
-                for f in outstanding
-                if deadlines[index_of[f]] is not None
-                and now >= deadlines[index_of[f]]
-            }
-            for f in expired:
-                i = index_of[f]
-                f.cancel()
-                results[i] = TaskError(
-                    kind=DEADLINE_ERROR,
-                    message=(
-                        f"task {i} exceeded its {deadlines[i]:g}s deadline"
-                    ),
-                )
-            outstanding -= expired
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    if not observed:
-        return results
-    unwrapped: list[Any] = []
-    for env in results:
-        if isinstance(env, ObsEnvelope):
-            ctx.tracer.adopt(env.spans, tid=len(unwrapped) + 1)
-            ctx.metrics.merge(env.metrics)
-            ctx.events.adopt(env.events)
-            unwrapped.append(env.result)
-        else:  # timed out: a bare TaskError, no envelope to graft
-            unwrapped.append(env)
-    return unwrapped

@@ -48,7 +48,9 @@ class EngineConfig:
         disables caching (the DAG still schedules and parallelizes).
     workers:
         Worker processes for *independent nodes of one generation*
-        (e.g. enrichment and gender inference).  ``None``/``0``/``1``
+        (e.g. enrichment and gender inference): a generation of ``n``
+        nodes runs on ``min(workers, n)`` processes, so a one-node
+        generation runs in the caller's process.  ``None``/``0``/``1``
         runs each generation serially.  Orthogonal to — and composable
         with — the per-stage :class:`~repro.util.parallel.ParallelConfig`
         used inside the ingest stage.

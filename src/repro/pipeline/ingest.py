@@ -17,10 +17,10 @@ and an edition that exhausts its retries is *dropped and recorded*
 instead of aborting the run.  Breaker state and virtual time are
 per-item, so the report is bit-identical across worker counts.
 
-A faulted harvest runs its tasks under
-``parallel_map(..., capture_errors=True)``: even a genuine bug in one
-edition's scrape surfaces as a loss record, not a dead pool.  Without
-a fault plan there is no loss accounting, so such a bug raises.
+Under a fault plan even a genuine bug in one edition's harvest is a
+loss its session records (a ``task-error:`` reason, with the
+``fault.loss`` event and the session's call counts), not a dead pool.
+Without a fault plan there is no loss accounting, so such a bug raises.
 :func:`ingest_world` is a thin name for the harvested list.
 """
 
@@ -38,7 +38,7 @@ from repro.harvest.scrape import HarvestedConference, scrape_site
 from repro.harvest.sitegen import generate_site
 from repro.obs.context import current as _obs
 from repro.synth.world import SyntheticWorld
-from repro.util.parallel import ParallelConfig, TaskError, parallel_map
+from repro.util.parallel import ParallelConfig, parallel_map
 
 __all__ = [
     "ingest_world",
@@ -107,22 +107,30 @@ def _harvest_edition(
         applied_tags.extend(tags)
         return site, proceedings
 
-    with ctx.span("harvest.edition", conf=conference, year=year):
+    try:
+        with ctx.span("harvest.edition", conf=conference, year=year):
+            if session is None:
+                site, proceedings = fetch()
+            else:
+                try:
+                    site, proceedings = session.call(
+                        "harvest", (conference, year), fetch, malform=malform
+                    )
+                except FaultError as exc:
+                    session.record_loss("harvest", key, exc.reason)
+                    ctx.annotate(lost=exc.reason)
+                    ctx.metrics.inc("harvest.editions_lost")
+                    return HarvestOutcome(key, None, tuple(session.losses), session.snapshot)
+                for tag in applied_tags:
+                    session.record_loss("harvest", key, f"malformed:{tag}")
+            conf = scrape_site(site, proceedings)
+    except Exception as exc:
         if session is None:
-            site, proceedings = fetch()
-        else:
-            try:
-                site, proceedings = session.call(
-                    "harvest", (conference, year), fetch, malform=malform
-                )
-            except FaultError as exc:
-                session.record_loss("harvest", key, exc.reason)
-                ctx.annotate(lost=exc.reason)
-                ctx.metrics.inc("harvest.editions_lost")
-                return HarvestOutcome(key, None, tuple(session.losses), session.snapshot)
-            for tag in applied_tags:
-                session.record_loss("harvest", key, f"malformed:{tag}")
-        conf = scrape_site(site, proceedings)
+            raise
+        # a genuine defect in this edition's harvest, not an injected
+        # fault: degrade it like any other loss
+        session.record_loss("harvest", key, f"task-error:{type(exc).__name__}: {exc}")
+        return HarvestOutcome(key, None, tuple(session.losses), session.snapshot)
     ctx.metrics.inc("harvest.editions")
     ctx.metrics.observe("harvest.papers_per_edition", len(conf.papers))
     losses, stats = ((), FaultStats()) if session is None else (
@@ -141,24 +149,13 @@ def ingest_world_resilient(
     editions = _editions_of(world, year)
     report = IngestReport(total_editions=len(editions))
     tasks = [(world, e.name, e.year, faults) for e in editions]
-    results = parallel_map(
-        _harvest_edition, tasks, parallel, capture_errors=faults is not None
-    )
-    for e, result in zip(editions, results):
-        key = f"{e.name}-{e.year}"
-        if isinstance(result, TaskError):
-            # a genuine defect in this edition's harvest, not an
-            # injected fault: degrade it like any other loss
-            report.losses.append(
-                LossRecord("harvest", key, f"task-error:{result.kind}: {result.message}")
-            )
-            continue
+    for result in parallel_map(_harvest_edition, tasks, parallel):
         report.losses.extend(result.losses)
         report.stats.merge(result.stats)
         if result.conference is not None:
             report.conferences.append(result.conference)
             report.harvested_editions += 1
-            report.proceedings_counts[key] = result.proceedings_count
+            report.proceedings_counts[result.key] = result.proceedings_count
     return report
 
 

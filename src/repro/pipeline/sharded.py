@@ -289,11 +289,9 @@ def stage_merge(params: ShardParams, inputs: dict) -> dict:
 
     degraded = None
     if params.faults is not None:
-        stats = FaultStats()
-        losses: list[LossRecord] = []
-        for sh in shards:
-            stats.merge(sh.stats)
-            losses.extend(sh.losses)
+        from repro.engine.stages import fault_totals
+
+        losses, stats = fault_totals(*shards)
         degraded = DegradedCoverage.from_parts(
             total_editions=sum(sh.total_editions for sh in shards),
             harvested_editions=sum(sh.harvested_editions for sh in shards),

@@ -1,10 +1,10 @@
-"""Deterministic data-parallel map.
+"""Deterministic data-parallel map: the one process pool of the package.
 
-The harvesting stage of the pipeline processes one conference per task and
-the bootstrap machinery processes one resample batch per task.  Both are
-embarrassingly parallel, so we provide a single primitive: a chunked
-process-pool map whose result is *bit-identical* regardless of the number
-of workers.
+The harvesting stage of the pipeline processes one conference per task,
+the bootstrap machinery one resample batch per task, and the engine one
+stage node per task.  All are embarrassingly parallel, so we provide a
+single primitive: a process-pool map whose result is *bit-identical*
+regardless of the number of workers.
 
 Determinism comes from two rules (the classic MPI-style decomposition
 discipline):
@@ -17,24 +17,30 @@ discipline):
 ``parallel_map`` falls back to a serial loop when ``workers <= 1`` or when
 the input is small, since process startup dominates for the problem sizes
 in this reproduction.  The serial and parallel paths are exercised against
-each other in the test suite.
+each other in the test suite.  A pooled map submits every item, then
+waits for all of them, each within an optional wall-clock deadline (the
+engine's supervised node deadlines, see :mod:`repro.engine.supervise`).
 """
 
 from __future__ import annotations
 
 import os
+import time
 import traceback as _tb
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.obs.context import ObsEnvelope, capture
 from repro.obs.context import current as _obs_current
 
-__all__ = ["ParallelConfig", "TaskError", "parallel_map"]
+__all__ = ["DEADLINE_ERROR", "ParallelConfig", "TaskError", "parallel_map"]
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: the TaskError kind of a task cut off at its deadline (wall or virtual)
+DEADLINE_ERROR = "NodeDeadlineExceeded"
 
 
 @dataclass(frozen=True)
@@ -118,13 +124,10 @@ class ParallelConfig:
         If the input has fewer than ``workers * min_items_per_worker``
         items, run serially — spawning processes would cost more than it
         saves.
-    chunksize:
-        Items submitted to a worker per IPC round-trip.
     """
 
     workers: int | None = 0
     min_items_per_worker: int = 2
-    chunksize: int = 1
 
     def resolved_workers(self, n_items: int) -> int:
         w = os.cpu_count() or 1 if self.workers is None else self.workers
@@ -140,24 +143,37 @@ def parallel_map(
     items: Iterable[T],
     config: ParallelConfig | None = None,
     capture_errors: bool = False,
+    deadlines: Sequence[float | None] | None = None,
 ) -> list[R]:
     """Map ``fn`` over ``items``, preserving input order.
 
     ``fn`` must be picklable (module-level) when running with more than
     one worker.  The output is identical to ``[fn(x) for x in items]`` by
-    construction.
+    construction; a pooled map that raises does so after every item has
+    finished, with the first failing item's exception in input order.
 
     With ``capture_errors=True`` a raising task yields a
     :class:`TaskError` in its slot instead of poisoning the whole map:
     one bad item no longer kills the ``ProcessPoolExecutor`` (or the
     serial loop), and both paths return the same captured error.
 
+    ``deadlines``, aligned with ``items`` (``None`` = unbounded), gives
+    each *pooled* item a wall-clock budget in seconds: an item still
+    running when its budget expires yields
+    ``TaskError(kind=DEADLINE_ERROR)`` in its slot, and its worker is
+    cut loose (the pool shuts down without waiting for it — a wedged
+    process cannot be reasoned with).  The other items are unaffected.
+    A serial map cannot interrupt an in-process call and ignores them.
+
     When an observability context is active (:func:`repro.obs.current`),
     every task runs under a per-item capture context — in the serial
     path too, so span IDs and metrics cannot depend on worker count —
-    and the captured spans/counters are grafted back in input order.
+    and the captured spans/counters are grafted back in input order
+    (a timed-out item contributes none: its worker never reported back).
     """
     seq: Sequence[T] = list(items)
+    if deadlines is not None and len(deadlines) != len(seq):
+        raise ValueError("deadlines must align with items")
     cfg = config or ParallelConfig()
     if capture_errors:
         fn = _CaptureErrors(fn)
@@ -174,14 +190,43 @@ def parallel_map(
     if workers <= 1 or not seq:
         raw = [mapped(x) for x in work]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(mapped, work, chunksize=max(1, cfg.chunksize)))
+        raw = _pool_map(mapped, work, workers, deadlines or [None] * len(seq))
     if not observed:
         return raw
     results: list[R] = []
     for i, env in enumerate(raw):
-        ctx.tracer.adopt(env.spans, tid=i + 1)
-        ctx.metrics.merge(env.metrics)
-        ctx.events.adopt(env.events)
-        results.append(env.result)
+        if isinstance(env, ObsEnvelope):
+            ctx.tracer.adopt(env.spans, tid=i + 1)
+            ctx.metrics.merge(env.metrics)
+            ctx.events.adopt(env.events)
+            env = env.result
+        results.append(env)
     return results
+
+
+def _pool_map(
+    fn: Callable, work: Sequence, workers: int, deadlines: Sequence[float | None]
+) -> list:
+    """Submit every item to one pool; wait for each within its deadline."""
+    pool = ProcessPoolExecutor(max_workers=workers)
+    expired: dict[int, TaskError] = {}
+    try:
+        futures = [pool.submit(fn, w) for w in work]
+        start = time.monotonic()
+        pending = set(futures)
+        while pending:
+            live = [d for f, d in zip(futures, deadlines) if f in pending and d is not None]
+            timeout = max(0.0, min(live) - (time.monotonic() - start)) if live else None
+            _, pending = wait(pending, timeout=timeout)
+            now = time.monotonic() - start
+            for i, (f, d) in enumerate(zip(futures, deadlines)):
+                if f in pending and d is not None and now >= d:
+                    f.cancel()
+                    pending.discard(f)
+                    expired[i] = TaskError(
+                        kind=DEADLINE_ERROR,
+                        message=f"task {i} exceeded its {d:g}s deadline",
+                    )
+    finally:
+        pool.shutdown(wait=not expired, cancel_futures=True)
+    return [expired[i] if i in expired else f.result() for i, f in enumerate(futures)]

@@ -12,8 +12,11 @@ The acceptance bar from the redesign issue:
   ``TypeError``.
 """
 
+import os
+
 import pytest
 
+from repro.engine import StageGraph, StageNode, SupervisorConfig, run_dag
 from repro.faults import FaultConfig
 from repro.obs import ObsContext
 from repro.pipeline import EngineConfig, RunConfig, run_pipeline
@@ -103,6 +106,47 @@ class TestWarmRunSkipsStageBodies:
         warm = ObsContext(seed=5)
         _run(tmp_path / "cache", world=small_world, obs=warm)
         assert warm.metrics.counters.get("engine.cache.hits", 0) == N_NODES - 1
+
+
+def _pid(params, inputs):
+    return {"linked": os.getpid()}
+
+
+def _enrich_pid(params, inputs):
+    return {"enrich": os.getpid()}
+
+
+def _infer_pid(params, inputs):
+    return {"infer": os.getpid()}
+
+
+def _pid_graph() -> StageGraph:
+    return StageGraph(
+        nodes=[
+            StageNode("link", _pid, outputs=("linked",)),
+            StageNode("enrich", _enrich_pid, inputs=("linked",)),
+            StageNode("infer", _infer_pid, inputs=("linked",)),
+        ]
+    )
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("supervise", [None, SupervisorConfig()])
+    def test_more_workers_than_nodes_still_pools(self, supervise):
+        run = run_dag(
+            _pid_graph(), params={}, engine=EngineConfig(workers=4, supervise=supervise)
+        )
+        assert run["linked"] == os.getpid()  # a one-node generation runs here
+        assert os.getpid() not in (run["enrich"], run["infer"])
+
+    def test_supervised_serial_run_profiles_every_node(self, small_world):
+        obs = ObsContext(seed=1, profile=True)
+        result = run_pipeline(
+            RunConfig(obs=obs, engine=EngineConfig(supervise=SupervisorConfig())),
+            world=small_world,
+        )
+        assert list(obs.profiler.profiles) == list(result.stages)
+        assert len(result.stages) == N_NODES - 1  # the world is prebuilt
 
 
 class TestResultIdentity:

@@ -10,7 +10,7 @@ the supervision contract without the cost of full pipeline runs:
   when one node of a generation fails;
 - chaos-injected faults retry with virtual-clock backoff and heal;
 - hung nodes surface as ``node.timeout`` — virtually under chaos,
-  on the wall clock under :func:`watchdog_map`.
+  on the wall clock under the deadlines of :func:`parallel_map`.
 """
 
 import time
@@ -24,14 +24,12 @@ from repro.engine import (
     StageNode,
     SupervisorConfig,
     run_dag,
-    watchdog_map,
 )
 from repro.engine.cache import ArtifactCache, CacheWriteError
-from repro.engine.supervise import DEADLINE_ERROR
 from repro.faults.chaos import ChaosConfig, ChaosKind, ChaosPlan
 from repro.obs import ObsContext
 from repro.obs.context import use as obs_use
-from repro.util.parallel import TaskError
+from repro.util.parallel import DEADLINE_ERROR, ParallelConfig, TaskError, parallel_map
 
 pytestmark = [pytest.mark.engine, pytest.mark.chaos]
 
@@ -311,21 +309,20 @@ class TestChaosRetries:
         )
 
 
+POOL = ParallelConfig(workers=2, min_items_per_worker=1)
+
+
 class TestWallWatchdog:
     def test_deadline_cuts_off_hung_task(self):
-        results = watchdog_map(
-            _sleepy, [0.05, 2.0], deadlines=[None, 0.3], workers=2
-        )
+        results = parallel_map(_sleepy, [0.05, 2.0], POOL, deadlines=[None, 0.3])
         assert results[0] == 0.05
         assert isinstance(results[1], TaskError)
         assert results[1].kind == DEADLINE_ERROR
 
     def test_no_deadlines_behaves_like_parallel_map(self):
-        results = watchdog_map(
-            _sleepy, [0.01, 0.02], deadlines=[None, None], workers=2
-        )
+        results = parallel_map(_sleepy, [0.01, 0.02], POOL, deadlines=[None, None])
         assert results == [0.01, 0.02]
 
     def test_misaligned_deadlines_rejected(self):
         with pytest.raises(ValueError, match="align"):
-            watchdog_map(_sleepy, [0.01], deadlines=[None, None], workers=2)
+            parallel_map(_sleepy, [0.01], POOL, deadlines=[None, None])

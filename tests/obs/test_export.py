@@ -123,6 +123,17 @@ class TestCli:
             doc = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))
             assert doc["meta"]["seed"] == 11
 
+    def test_serial_profile_covers_every_executed_node(self, tmp_path, capsys):
+        from repro.cli import main
+
+        code = main(
+            ["--scale", "0.25", "--seed", "11", "--profile", "--obs-dir", str(tmp_path), "run"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        for node in ("world", "ingest", "link", "enrich", "infer", "dataset", "finalize"):
+            assert f"===== profile: {node} (top 12 cumulative) =====" in out
+
     def test_run_without_flags_writes_nothing(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
 

@@ -17,6 +17,7 @@ import repro.pipeline.ingest as ingest
 from repro.engine.stages import PipelineParams, stage_ingest
 from repro.faults import FaultConfig
 from repro.faults.degradation import FaultStats
+from repro.obs import ObsContext
 from repro.pipeline import RunConfig, run_pipeline
 
 
@@ -70,16 +71,28 @@ class TestTaskErrors:
     def test_faulted_run_records_a_crashed_edition(self, small_world, monkeypatch):
         edition = min(small_world.registry.editions.values(), key=lambda e: e.date)
         _raise_for(edition.name, monkeypatch)
+        obs = ObsContext(seed=1)
         result = run_pipeline(
-            RunConfig(faults=FaultConfig(rate=0.0), validation="repair"),
+            RunConfig(faults=FaultConfig(rate=0.0), validation="repair", obs=obs),
             world=small_world,
         )
         key = f"{edition.name}-{edition.year}"
         (loss,) = [r for r in result.degraded.losses if r.key == key]
         assert loss.stage == "harvest"
-        assert loss.reason.startswith("task-error:RuntimeError")
+        assert loss.reason == f"task-error:RuntimeError: scraper bug on {edition.name}"
         assert result.degraded.dropped_editions == (key,)
         assert result.contracts.audit.ok, result.contracts.audit.summary()
+        # the crashed edition's session recorded the loss and kept its stats
+        (event,) = [e for e in obs.events.by_type("fault.loss") if e.name == key]
+        assert event.attrs["reason"] == loss.reason
+        counters = obs.metrics.counters
+        assert counters["faults.losses.harvest"] == 1
+        calls = {
+            name.removeprefix("faults.calls."): n
+            for name, n in counters.items()
+            if name.startswith("faults.calls.")
+        }
+        assert calls == result.degraded.service_calls
 
     def test_fault_free_run_raises(self, small_world, monkeypatch):
         edition = min(small_world.registry.editions.values(), key=lambda e: e.date)

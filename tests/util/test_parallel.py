@@ -1,5 +1,6 @@
 """Tests for the deterministic parallel map."""
 
+import multiprocessing
 import os
 
 import pytest
@@ -52,6 +53,12 @@ class TestParallel:
             _seeded_draw, items, ParallelConfig(workers=4, min_items_per_worker=1)
         )
         assert one == four
+
+    def test_pool_leaves_no_process_running(self):
+        before = set(multiprocessing.active_children())
+        out = parallel_map(_square, list(range(8)), ParallelConfig(workers=2, min_items_per_worker=1))
+        assert out == [x * x for x in range(8)]
+        assert set(multiprocessing.active_children()) <= before
 
     def test_small_inputs_stay_serial(self):
         cfg = ParallelConfig(workers=8, min_items_per_worker=4)
