@@ -77,9 +77,12 @@ class EngineRun:
     them.  Both are empty on an unsupervised run (failures abort
     instead).  ``retries`` and ``virtual_time`` come from the
     supervisor's clock — deterministic for a given chaos/backoff seed.
+    ``digests`` maps every artifact the run could address — seeds and
+    the outputs of every keyed node — to its content digest.
     """
 
     artifacts: dict[str, Any] = field(default_factory=dict)
+    digests: dict[str, str] = field(default_factory=dict)
     results: list[NodeResult] = field(default_factory=list)
     failed: dict[str, str] = field(default_factory=dict)
     skipped: dict[str, str] = field(default_factory=dict)
@@ -167,8 +170,8 @@ def run_dag(
         (cfg.supervise or SupervisorConfig()) if supervised else _ONE_ATTEMPT,
         chaos=cfg.chaos,
     )
-    run = EngineRun(artifacts=dict(seeds or {}))
-    digests: dict[str, str] = dict(seed_digests or {})
+    run = EngineRun(artifacts=dict(seeds or {}), digests=dict(seed_digests or {}))
+    digests = run.digests
     for name in run.artifacts:
         digests.setdefault(name, fingerprint("seed", name))
 

@@ -13,17 +13,30 @@ structure (sorted keys, type-tagged containers), and ``fingerprint``
 hashes that encoding with SHA-256.  Two structurally equal configs
 always produce the same hex digest; any field change produces a
 different one.
+
+``source_digest`` is the code version of nodes whose body reaches into
+the whole package (the experiment nodes of
+:mod:`repro.report.experiments`): SHA-256 over every file of the
+``repro`` package, so any code edit changes their keys.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import fields, is_dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Any
 
-__all__ = ["canonical", "fingerprint", "fingerprint_canonical", "world_fingerprint"]
+__all__ = [
+    "canonical",
+    "fingerprint",
+    "fingerprint_canonical",
+    "source_digest",
+    "world_fingerprint",
+]
 
 # bump to invalidate every cache entry ever written (format change)
 ENGINE_SCHEMA = 1
@@ -96,3 +109,26 @@ def world_fingerprint(world_or_config: Any) -> str:
     # different seeds share the roster names but differ in content
     editions = [registry.editions[k] for k in sorted(registry.editions)]
     return fingerprint("world", world_or_config.config, editions)
+
+
+@functools.cache
+def source_digest() -> str:
+    """SHA-256 over the files of the ``repro`` package, hashed on first use.
+
+    Each file contributes its path relative to the package root and its
+    bytes, in sorted path order; compiled caches are skipped.  Computed
+    once per process, never at import.
+    """
+    root = Path(__file__).resolve().parent.parent
+    h = hashlib.sha256()
+    files = {
+        p.relative_to(root).as_posix(): p
+        for p in root.rglob("*")
+        if p.is_file() and p.suffix != ".pyc"
+        and "__pycache__" not in p.relative_to(root).parts
+    }
+    for name in sorted(files):
+        rel, data = name.encode("utf-8"), files[name].read_bytes()
+        h.update(b"%d:%s%d:" % (len(rel), rel, len(data)))
+        h.update(data)
+    return h.hexdigest()

@@ -42,7 +42,7 @@ from repro.obs.context import NULL as _NULL_OBS
 from repro.obs.context import ObsContext
 from repro.obs.context import current as _obs_current
 from repro.obs.context import use as _obs_use
-from repro.pipeline.config import RunConfig
+from repro.pipeline.config import EngineConfig, RunConfig
 from repro.pipeline.dataset import AnalysisDataset
 from repro.pipeline.infer import InferenceOutcome
 from repro.pipeline.link import LinkedData
@@ -140,6 +140,26 @@ class PipelineResult:
     def merge_cache_hit(self) -> bool:
         return "merge" in self.cached_nodes
 
+    def engine_seeds(
+        self,
+    ) -> tuple[dict[str, object], dict[str, str] | None, EngineConfig | None]:
+        """``dataset`` and ``timeline`` as engine seeds, with digests and cache.
+
+        Returns ``(seeds, seed_digests, engine)`` for a node fed this
+        result (the experiment nodes of :mod:`repro.report.experiments`).
+        The digests are the engine's content addresses of the run's own
+        dataset and timeline, and ``engine`` carries the run's cache
+        directory; both count only while ``dataset`` and ``timeline``
+        are the objects the run produced.  A reassigned field, a result
+        made by :func:`dataclasses.replace` or a hand-built one gets
+        ``None`` for both, so such a node computes and stores nothing.
+        """
+        seeds = {"dataset": self.dataset, "timeline": self.timeline}
+        dataset, timeline, digests, engine = self.__dict__.get("_own", (None,) * 4)
+        if dataset is not self.dataset or timeline is not self.timeline:
+            return seeds, None, None
+        return seeds, digests, engine
+
 
 class UnsupportedRunError(ValueError):
     """A run configuration the pipeline cannot execute yet."""
@@ -201,9 +221,9 @@ def run_pipeline(
         )
         stages = {} if stages is None else stages
         if sharded:
-            run, fields, size, read = _execute_sharded(rc, plan, stages)
+            run, fields, size, read, digests = _execute_sharded(rc, plan, stages)
         else:
-            run, fields, size, read = _execute_monolithic(rc, world, stages)
+            run, fields, size, read, digests = _execute_monolithic(rc, world, stages)
         fields["degraded"] = _merge_engine_accounting(fields["degraded"], run)
         result = PipelineResult(
             **fields,
@@ -215,6 +235,13 @@ def run_pipeline(
             cached_nodes=tuple(r.node for r in run.results if r.cache_hit),
         )
         result._read = read
+        cache = rc.engine and rc.engine.cache_dir
+        result._own = (
+            result.dataset,
+            result.timeline,
+            digests,
+            EngineConfig(cache_dir=cache, refresh=rc.engine.refresh) if cache else None,
+        )
         if octx.enabled:
             m = octx.metrics
             m.set_gauge("pipeline.researchers", result.researchers)
@@ -236,7 +263,8 @@ def run_pipeline(
 run_sharded = run_pipeline
 
 # Each path returns (engine run, its result fields, its size gauge, the
-# reader of the fields left unread).  The engine is imported lazily:
+# reader of the fields left unread, the digests of its dataset and
+# timeline).  The engine is imported lazily:
 # repro.engine.stages imports the stage modules of this package, so a
 # top-level import would be circular.
 
@@ -248,7 +276,13 @@ _MONOLITHIC_WANTS = ("dataset", "inference", "degraded", "contracts")
 def _execute_monolithic(
     rc: RunConfig, world: SyntheticWorld | None, stages: dict[str, StageTime]
 ):
-    from repro.engine import PipelineParams, build_graph, run_dag, world_fingerprint
+    from repro.engine import (
+        PipelineParams,
+        build_graph,
+        fingerprint,
+        run_dag,
+        world_fingerprint,
+    )
 
     params = PipelineParams(
         world_config=rc.world,
@@ -296,14 +330,20 @@ def _execute_monolithic(
     )
     # a dataset has one conferences row per harvested edition
     size = ("pipeline.editions", run["dataset"].conferences.num_rows)
-    return run, fields, size, read
+    digests = {
+        "dataset": run.digests["dataset"],
+        # a prebuilt world's timeline is addressed through the world's digest
+        "timeline": run.digests.get("timeline")
+        or fingerprint("artifact", run.digests["world"], "timeline"),
+    }
+    return run, fields, size, read, digests
 
 
 def _execute_sharded(
     rc: RunConfig, plan: ShardPlan | None, stages: dict[str, StageTime]
 ):
     """Two stages, the planning and the whole execution, each under its span."""
-    from repro.engine import run_dag
+    from repro.engine import fingerprint, run_dag
 
     with _phase(stages, "plan"):
         wc, plan, graph, params, engine = plan_sharded_run(rc, plan)
@@ -318,7 +358,9 @@ def _execute_sharded(
         degraded=merged.degraded,
         plan=plan,
     )
-    return run, fields, ("pipeline.shards", len(plan)), None
+    # the merge holds the dataset; a sharded run's timeline is always empty
+    digests = {"dataset": run.digests["merged"], "timeline": fingerprint("timeline", [])}
+    return run, fields, ("pipeline.shards", len(plan)), None, digests
 
 
 @contextmanager

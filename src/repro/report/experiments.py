@@ -1,9 +1,12 @@
-"""Experiment registry: DESIGN.md ids → runnable builders.
+"""Experiment registry: DESIGN.md ids → runnable builders, as engine nodes.
 
-Each experiment takes a :class:`~repro.pipeline.runner.PipelineResult`
-and returns ``(payload, text)``; the benchmark harness times the
-builders and prints the text, and ``examples/regenerate_paper.py`` runs
-them all.
+Each builder takes a run's dataset and its SC/ISC timeline and returns
+``(payload, text)``.  :func:`run_experiment` runs one as the engine node
+``experiment:<id>``, fed the result's dataset and timeline as seeds:
+against the run's artifact cache a warm call loads the stored
+``(payload, text)`` and a cold one computes and stores it; a run without
+a cache just computes it.  The benchmark harness times the calls and
+prints the text, and ``examples/regenerate_paper.py`` runs them all.
 """
 
 from __future__ import annotations
@@ -17,6 +20,10 @@ from repro.analysis.hpctopic import hpc_topic_report
 from repro.analysis.pc import pc_report
 from repro.analysis.sensitivity import sensitivity_report
 from repro.analysis.visible import visible_report
+from repro.engine import StageGraph, StageNode, run_dag
+from repro.engine.fingerprint import source_digest
+from repro.obs.context import use as _obs_use
+from repro.pipeline.dataset import AnalysisDataset
 from repro.pipeline.runner import PipelineResult
 from repro.report.figures import (
     build_fig1,
@@ -29,28 +36,30 @@ from repro.report.figures import (
     build_fig8,
 )
 from repro.report.tables import build_table1, build_table2, build_table3
+from repro.synth.timeline import TimelineEdition
 
 __all__ = ["EXPERIMENTS", "run_experiment"]
 
+Builder = Callable[[AnalysisDataset, list[TimelineEdition]], tuple[Any, str]]
 
-def _t(table_builder):
-    def run(result: PipelineResult):
-        table, text = table_builder(result.dataset)
+
+def _t(table_builder) -> Builder:
+    def run(ds: AnalysisDataset, timeline):
+        table, text = table_builder(ds)
         return table, text
 
     return run
 
 
-def _f(fig_builder):
-    def run(result: PipelineResult):
-        fig = fig_builder(result.dataset)
+def _f(fig_builder) -> Builder:
+    def run(ds: AnalysisDataset, timeline):
+        fig = fig_builder(ds)
         return fig.data, fig.text
 
     return run
 
 
-def _headline(result: PipelineResult):
-    ds = result.dataset
+def _headline(ds: AnalysisDataset, timeline):
     far = far_report(ds)
     blind = blind_report(ds)
     pc = pc_report(ds)
@@ -73,8 +82,8 @@ def _headline(result: PipelineResult):
     return {"far": far, "blind": blind, "pc": pc}, "\n".join(lines)
 
 
-def _visible(result: PipelineResult):
-    vis = visible_report(result.dataset)
+def _visible(ds: AnalysisDataset, timeline):
+    vis = visible_report(ds)
     lines = [
         f"zero-women keynotes at: {', '.join(vis.zero_women_confs['keynote'])} (paper: 4 confs)",
         f"zero-women session chairs at: {', '.join(vis.zero_women_confs['session_chair'])} "
@@ -85,8 +94,8 @@ def _visible(result: PipelineResult):
     return vis, "\n".join(lines)
 
 
-def _hpc(result: PipelineResult):
-    h = hpc_topic_report(result.dataset)
+def _hpc(ds: AnalysisDataset, timeline):
+    h = hpc_topic_report(ds)
     text = (
         f"HPC papers: {h.hpc_papers}/{h.all_papers} (paper: 178/518)\n"
         f"authors: {h.authors_hpc} vs overall {h.authors_all} "
@@ -99,9 +108,9 @@ def _hpc(result: PipelineResult):
     return h, text
 
 
-def _casestudy(result: PipelineResult):
+def _casestudy(ds: AnalysisDataset, timeline: list[TimelineEdition]):
     # a sharded run builds no SC/ISC timeline: it reports as an empty one
-    cs = casestudy_report(result.timeline)
+    cs = casestudy_report(timeline)
     lines = []
     for conf, points in cs.series.items():
         series = ", ".join(f"{p.year}:{100*p.far:.1f}%" for p in points)
@@ -114,10 +123,10 @@ def _casestudy(result: PipelineResult):
     return cs, "\n".join(lines)
 
 
-def _policy(result: PipelineResult):
+def _policy(ds: AnalysisDataset, timeline):
     from repro.analysis.policies import policy_report
 
-    rep = policy_report(result.dataset)
+    rep = policy_report(ds)
     lines = [
         f"PC-share vs author-FAR correlation across conferences: "
         f"r={rep.pc_vs_author_correlation.r:.3f} "
@@ -132,11 +141,11 @@ def _policy(result: PipelineResult):
     return rep, "\n".join(lines)
 
 
-def _sensitivity(result: PipelineResult):
-    rep = sensitivity_report(result.dataset)
+def _sensitivity(ds: AnalysisDataset, timeline):
+    rep = sensitivity_report(ds)
     lines = [
         f"unknown-gender researchers: {rep.unknowns} "
-        f"({100*rep.unknowns/max(1,result.dataset.researchers.num_rows):.2f}%; paper: 144, 3.03%)",
+        f"({100*rep.unknowns/max(1,ds.researchers.num_rows):.2f}%; paper: 144, 3.03%)",
         f"FAR baseline {100*rep.far_values['baseline']:.2f}% | "
         f"all-women {100*rep.far_values['all_women']:.2f}% | "
         f"all-men {100*rep.far_values['all_men']:.2f}%",
@@ -150,8 +159,8 @@ def _sensitivity(result: PipelineResult):
     return rep, "\n".join(lines)
 
 
-#: experiment id -> builder(result) -> (payload, text)
-EXPERIMENTS: dict[str, Callable[[PipelineResult], tuple[Any, str]]] = {
+#: experiment id -> builder(dataset, timeline) -> (payload, text)
+EXPERIMENTS: dict[str, Builder] = {
     "T1": _t(build_table1),
     "T2": _t(build_table2),
     "T3": _t(build_table3),
@@ -172,10 +181,43 @@ EXPERIMENTS: dict[str, Callable[[PipelineResult], tuple[Any, str]]] = {
 }
 
 
+def _build(exp_id: str, inputs: dict) -> dict:
+    """The body of ``experiment:<exp_id>``: the builder, over its two seeds."""
+    built = EXPERIMENTS[exp_id](inputs["dataset"], inputs["timeline"])
+    return {f"experiment:{exp_id}": built}
+
+
 def run_experiment(exp_id: str, result: PipelineResult) -> tuple[Any, str]:
-    """Run one experiment by DESIGN.md id."""
+    """Run one experiment by DESIGN.md id: ``(payload, text)``.
+
+    The experiment is the engine node ``experiment:<exp_id>``: its
+    inputs are the run's ``dataset`` and ``timeline``, its one output
+    the builder's ``(payload, text)``, and its version the digest of the
+    package source, so a code edit misses every stored experiment.  It
+    runs with the result's dataset and timeline as seeds
+    (:meth:`PipelineResult.engine_seeds`) and outside the caller's
+    observability context, so reading an experiment never changes a
+    run's metrics or events.
+    """
     if exp_id not in EXPERIMENTS:
         raise KeyError(
             f"unknown experiment {exp_id!r}; known: {', '.join(sorted(EXPERIMENTS))}"
         )
-    return EXPERIMENTS[exp_id](result)
+    node = StageNode(
+        f"experiment:{exp_id}",
+        _build,
+        inputs=("dataset", "timeline"),
+        version=source_digest(),
+    )
+    seeds, seed_digests, engine = result.engine_seeds()
+    graph = StageGraph(nodes=[node], seed_artifacts=tuple(seeds))
+    with _obs_use(None):
+        run = run_dag(
+            graph,
+            exp_id,
+            seeds=seeds,
+            seed_digests=seed_digests,
+            engine=engine,
+            want=(node.name,),
+        )
+    return run[node.name]

@@ -199,6 +199,114 @@ def _role_tables(role: str) -> _RoleTables:
     return _RoleTables(region_totals, region_pct_w, identified_share, tuple(per_region))
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def _allocate_cells(
+    role: str, pool_size: int, women_total: int
+) -> tuple[tuple[str | None, str, int], ...]:
+    """The cells of :meth:`PopulationBuilder._country_gender_cells`, memoized.
+
+    They depend on ``(role, pool_size, women_total)`` and module tables
+    only, and draw no random numbers, so every world build after the
+    first reuses the IPF fits of equal pools.
+    """
+    if role not in ("author", "pc"):
+        raise ValueError(f"unknown role {role!r}")
+    tables = _role_tables(role)
+    n_identified = int(round(pool_size * tables.identified_share))
+    n_unknown = pool_size - n_identified
+
+    region_counts = allocate_counts(tables.region_totals, n_identified)
+    region_women = np.minimum(
+        np.round(region_counts * tables.region_pct_w).astype(np.int64), region_counts
+    )
+    # Reconcile with the pool's total women target: adjust the largest
+    # regions first so no region flips sign.
+    women_known = women_total - PopulationBuilder._unknown_pool_women(n_unknown, role)
+    diff = int(women_known - region_women.sum())
+    # absorb the reconciliation in regions that already have many
+    # women, so near-zero regions (e.g. Eastern Asia PC) stay pure
+    order = np.argsort(-region_women)
+    i = 0
+    while diff != 0 and i < 10 * len(order):
+        j = order[i % len(order)]
+        if diff > 0 and region_women[j] < region_counts[j]:
+            region_women[j] += 1
+            diff -= 1
+        elif diff < 0 and region_women[j] > 0:
+            region_women[j] -= 1
+            diff += 1
+        i += 1
+
+    cells: list[tuple[str | None, str, int]] = []
+    for r_idx, region in enumerate(tables.regions):
+        total = int(region_counts[r_idx])
+        women = int(region_women[r_idx])
+        if total == 0:
+            continue
+        listed, unlisted = region.listed, region.unlisted
+        if not listed and not unlisted:
+            cells.append((None, "F", women))
+            cells.append((None, "M", total - women))
+            continue
+        # Listed countries receive counts proportional to their Table 2
+        # totals but capped so that any excess region mass spills into
+        # the region's unlisted countries instead of inflating the
+        # published ones.
+        listed_w = region.listed_w
+        listed_total_target = float(listed_w.sum())
+        counts = np.zeros(len(listed) + len(unlisted), dtype=np.int64)
+        if listed_total_target > 0 and total > 0:
+            listed_share = min(1.0, listed_total_target / max(total, 1))
+            n_listed = (
+                min(total, int(round(total * listed_share)))
+                if total > listed_total_target
+                else total
+            )
+            # never allocate more to listed countries than proportional
+            n_listed = min(n_listed, total)
+            counts[: len(listed)] = allocate_counts(listed_w, n_listed)
+        spill = total - int(counts.sum())
+        if spill > 0:
+            if unlisted:
+                counts[len(listed):] = allocate_counts(
+                    np.ones(len(unlisted)), spill
+                )
+            else:
+                counts[: len(listed)] += allocate_counts(
+                    np.maximum(listed_w, 1.0), spill
+                ) if len(listed) else 0
+        all_codes = listed + unlisted
+        # role-consistent per-country women seeds; unlisted countries
+        # take the region's own share
+        base = women / total if total else 0.0
+        shares = np.clip(
+            np.array(region.listed_pct_w + [base] * len(unlisted)) * region.adj,
+            0.005,
+            0.95,
+        )
+        seed = np.stack(
+            [counts * shares, counts * (1.0 - shares)], axis=1
+        )
+        seed = np.where(seed <= 0, 1e-9, seed)
+        if counts.sum() > 0:
+            table = allocate_two_way(
+                counts.astype(float),
+                np.array([women, total - women], dtype=float),
+                seed=seed,
+            )
+            for c_idx, code in enumerate(all_codes):
+                if table[c_idx, 0]:
+                    cells.append((code, "F", int(table[c_idx, 0])))
+                if table[c_idx, 1]:
+                    cells.append((code, "M", int(table[c_idx, 1])))
+    # unknown-country researchers
+    unknown_women = PopulationBuilder._unknown_pool_women(n_unknown, role)
+    if n_unknown > 0:
+        cells.append((None, "F", unknown_women))
+        cells.append((None, "M", n_unknown - unknown_women))
+    return tuple(cells)
+
+
 class PopulationBuilder:
     """Builds the calibrated population for one world."""
 
@@ -233,104 +341,11 @@ class PopulationBuilder:
         unidentified remainder becomes country=None cells.  Within a
         region, countries are weighted by Table 2/Fig. 7 totals and the
         region's women count is spread over countries in proportion to
-        their published female shares (two-way allocation).
+        their published female shares (two-way allocation).  The list
+        is fresh on every call (callers edit it); the allocation behind
+        it is computed once per distinct pool (:func:`_allocate_cells`).
         """
-        if role not in ("author", "pc"):
-            raise ValueError(f"unknown role {role!r}")
-        tables = _role_tables(role)
-        n_identified = int(round(pool_size * tables.identified_share))
-        n_unknown = pool_size - n_identified
-
-        region_counts = allocate_counts(tables.region_totals, n_identified)
-        region_women = np.minimum(
-            np.round(region_counts * tables.region_pct_w).astype(np.int64), region_counts
-        )
-        # Reconcile with the pool's total women target: adjust the largest
-        # regions first so no region flips sign.
-        women_known = women_total - self._unknown_pool_women(n_unknown, role)
-        diff = int(women_known - region_women.sum())
-        # absorb the reconciliation in regions that already have many
-        # women, so near-zero regions (e.g. Eastern Asia PC) stay pure
-        order = np.argsort(-region_women)
-        i = 0
-        while diff != 0 and i < 10 * len(order):
-            j = order[i % len(order)]
-            if diff > 0 and region_women[j] < region_counts[j]:
-                region_women[j] += 1
-                diff -= 1
-            elif diff < 0 and region_women[j] > 0:
-                region_women[j] -= 1
-                diff += 1
-            i += 1
-
-        cells: list[tuple[str | None, str, int]] = []
-        for r_idx, region in enumerate(tables.regions):
-            total = int(region_counts[r_idx])
-            women = int(region_women[r_idx])
-            if total == 0:
-                continue
-            listed, unlisted = region.listed, region.unlisted
-            if not listed and not unlisted:
-                cells.append((None, "F", women))
-                cells.append((None, "M", total - women))
-                continue
-            # Listed countries receive counts proportional to their Table 2
-            # totals but capped so that any excess region mass spills into
-            # the region's unlisted countries instead of inflating the
-            # published ones.
-            listed_w = region.listed_w
-            listed_total_target = float(listed_w.sum())
-            counts = np.zeros(len(listed) + len(unlisted), dtype=np.int64)
-            if listed_total_target > 0 and total > 0:
-                listed_share = min(1.0, listed_total_target / max(total, 1))
-                n_listed = (
-                    min(total, int(round(total * listed_share)))
-                    if total > listed_total_target
-                    else total
-                )
-                # never allocate more to listed countries than proportional
-                n_listed = min(n_listed, total)
-                counts[: len(listed)] = allocate_counts(listed_w, n_listed)
-            spill = total - int(counts.sum())
-            if spill > 0:
-                if unlisted:
-                    counts[len(listed):] = allocate_counts(
-                        np.ones(len(unlisted)), spill
-                    )
-                else:
-                    counts[: len(listed)] += allocate_counts(
-                        np.maximum(listed_w, 1.0), spill
-                    ) if len(listed) else 0
-            all_codes = listed + unlisted
-            # role-consistent per-country women seeds; unlisted countries
-            # take the region's own share
-            base = women / total if total else 0.0
-            shares = np.clip(
-                np.array(region.listed_pct_w + [base] * len(unlisted)) * region.adj,
-                0.005,
-                0.95,
-            )
-            seed = np.stack(
-                [counts * shares, counts * (1.0 - shares)], axis=1
-            )
-            seed = np.where(seed <= 0, 1e-9, seed)
-            if counts.sum() > 0:
-                table = allocate_two_way(
-                    counts.astype(float),
-                    np.array([women, total - women], dtype=float),
-                    seed=seed,
-                )
-                for c_idx, code in enumerate(all_codes):
-                    if table[c_idx, 0]:
-                        cells.append((code, "F", int(table[c_idx, 0])))
-                    if table[c_idx, 1]:
-                        cells.append((code, "M", int(table[c_idx, 1])))
-        # unknown-country researchers
-        unknown_women = self._unknown_pool_women(n_unknown, role)
-        if n_unknown > 0:
-            cells.append((None, "F", unknown_women))
-            cells.append((None, "M", n_unknown - unknown_women))
-        return cells
+        return list(_allocate_cells(role, pool_size, women_total))
 
     @staticmethod
     def _unknown_pool_women(n_unknown: int, role: str) -> int:

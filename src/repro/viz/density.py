@@ -31,17 +31,28 @@ def line_plot(
     y_hi = float(ys.max()) or 1.0
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for si, (label, (x, y)) in enumerate(series.items()):
+    grid = np.full(height * width, " ", dtype="<U1")
+    for si, (x, y) in enumerate(series.values()):
         glyph = _GLYPHS[si % 9]
-        for xv, yv in zip(np.asarray(x, float), np.asarray(y, float)):
-            if np.isnan(xv) or np.isnan(yv):
-                continue
-            col = int((xv - x_lo) / (x_hi - x_lo) * (width - 1))
-            row = height - 1 - int(max(0.0, yv) / y_hi * (height - 1))
-            cur = grid[row][col]
-            grid[row][col] = glyph if cur in (" ", glyph) else "*"
-    lines = ["|" + "".join(r) for r in grid]
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        n = min(x.size, y.size)  # pairs, as zip() would make them
+        x, y = x[:n], y[:n]
+        keep = ~(np.isnan(x) | np.isnan(y))
+        col = (x[keep] - x_lo) / (x_hi - x_lo) * (width - 1)
+        row = np.maximum(0.0, y[keep]) / y_hi * (height - 1)
+        bad = ~(np.isfinite(col) & np.isfinite(row))
+        if bad.any():
+            # a NaN or infinite cell index: fail as int() fails on it
+            i = int(np.argmax(bad))
+            int(col[i]), int(row[i])
+        cells = np.unique(
+            (height - 1 - row.astype(np.int64)) * width + col.astype(np.int64)
+        )
+        # a series writes its glyph into empty cells and its own; a cell
+        # another series drew first becomes '*'
+        cur = grid[cells]
+        grid[cells] = np.where((cur == " ") | (cur == glyph), glyph, "*")
+    lines = ["|" + "".join(r) for r in grid.reshape(height, width).tolist()]
     lines.append("+" + "-" * width)
     lines.append(f" x: [{x_lo:.3g}, {x_hi:.3g}]  y max: {y_hi:.3g}")
     legend = "  ".join(

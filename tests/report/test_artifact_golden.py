@@ -8,17 +8,20 @@ re-gendering -- that moves any printed cell fails here.
 
 Three results are pinned: two paper-roster runs (seed 7 at full scale,
 seed 11 at scale 0.25) and a 4-venue x 2-year sharded run, on which all
-17 experiments must run.  Record a new digest only together with a
-declared change to the science.
+17 experiments must run.  Each digest is checked three ways: with no
+cache, on a cold artifact cache (the experiment executes and stores its
+entry) and on the same cache warm (the entry is read back).  Record a
+new digest only together with a declared change to the science.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
-from repro.api import RunConfig, WorldConfig, run_pipeline, run_sharded
+from repro.api import EngineConfig, RunConfig, WorldConfig, run_pipeline
 from repro.report.experiments import EXPERIMENTS, run_experiment
 
 CONFIGS = {
@@ -94,14 +97,33 @@ GOLDEN = {
     },
 }
 
-_RESULTS: dict = {}
+#: no cache; a fresh cache; the same cache again (cold must run first)
+MODES = ("none", "cold", "warm")
 
 
-def result_of(name: str):
-    if name not in _RESULTS:
-        rc = CONFIGS[name]
-        _RESULTS[name] = run_sharded(rc) if rc.shards else run_pipeline(rc)
-    return _RESULTS[name]
+@pytest.fixture(scope="session")
+def experiment_outputs(tmp_path_factory):
+    """``outputs_of(name, mode)``: every experiment's ``(payload, text)``.
+
+    Each (config, mode) pair runs the pipeline and all 17 experiments
+    once per session; ``cold`` and ``warm`` share one cache directory
+    per config.
+    """
+    root = tmp_path_factory.mktemp("artifact-cache")
+    outputs: dict = {}
+
+    def outputs_of(name: str, mode: str) -> dict:
+        if (name, mode) not in outputs:
+            if mode == "warm":
+                outputs_of(name, "cold")
+            rc = CONFIGS[name]
+            if mode != "none":
+                rc = replace(rc, engine=EngineConfig(cache_dir=str(root / name)))
+            result = run_pipeline(rc)
+            outputs[(name, mode)] = {e: run_experiment(e, result) for e in EXPERIMENTS}
+        return outputs[(name, mode)]
+
+    return outputs_of
 
 
 def text_digest(text: str) -> str:
@@ -116,6 +138,7 @@ def test_every_experiment_is_pinned(name):
 @pytest.mark.parametrize(
     "name, exp_id", [(n, e) for n in GOLDEN for e in GOLDEN[n]]
 )
-def test_artifact_text_pinned(name, exp_id):
-    text = run_experiment(exp_id, result_of(name))[1]
-    assert text_digest(text) == GOLDEN[name][exp_id]
+def test_artifact_text_pinned(name, exp_id, experiment_outputs):
+    for mode in MODES:
+        text = experiment_outputs(name, mode)[exp_id][1]
+        assert text_digest(text) == GOLDEN[name][exp_id], mode

@@ -1441,3 +1441,118 @@ def test_country_gender_cells_match_old_body(role, size, share):
     new = _cells_outcome(PopulationBuilder._country_gender_cells, builder, role, size, women)
     old = _cells_outcome(_old_country_gender_cells, builder, role, size, women)
     assert new == old
+
+
+def test_country_gender_cells_are_a_fresh_list_per_call():
+    from repro.synth.config import WorldConfig
+    from repro.util.rng import RngStream
+
+    builder = PopulationBuilder(WorldConfig(seed=1), RngStream(1, ("w",)))
+    cells = builder._country_gender_cells("author", 900, 90)
+    expected = list(cells)
+    cells[0] = ("XX", "F", -1)  # _make_pool fixes its cells up in place
+    again = builder._country_gender_cells("author", 900, 90)
+    assert again == expected and again is not cells
+
+
+# ------------------------------------------------------------- line_plot
+
+from repro.viz.density import _GLYPHS, line_plot  # noqa: E402
+
+
+def _old_line_plot(
+    series,
+    width: int = 72,
+    height: int = 16,
+    title: str | None = None,
+) -> str:
+    if not series:
+        return "(no data)"
+    xs = np.concatenate([np.asarray(x, float) for x, _ in series.values()])
+    ys = np.concatenate([np.asarray(y, float) for _, y in series.values()])
+    if xs.size == 0:
+        return "(no data)"
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_hi = float(ys.max()) or 1.0
+    if x_hi <= x_lo:
+        x_hi = x_lo + 1.0
+    grid = [[" "] * width for _ in range(height)]
+    for si, (label, (x, y)) in enumerate(series.items()):
+        glyph = _GLYPHS[si % 9]
+        for xv, yv in zip(np.asarray(x, float), np.asarray(y, float)):
+            if np.isnan(xv) or np.isnan(yv):
+                continue
+            col = int((xv - x_lo) / (x_hi - x_lo) * (width - 1))
+            row = height - 1 - int(max(0.0, yv) / y_hi * (height - 1))
+            cur = grid[row][col]
+            grid[row][col] = glyph if cur in (" ", glyph) else "*"
+    lines = ["|" + "".join(r) for r in grid]
+    lines.append("+" + "-" * width)
+    lines.append(f" x: [{x_lo:.3g}, {x_hi:.3g}]  y max: {y_hi:.3g}")
+    legend = "  ".join(
+        f"{_GLYPHS[i % 9]}={label}" for i, label in enumerate(series.keys())
+    )
+    lines.append(" " + legend)
+    body = "\n".join(lines)
+    return f"{title}\n{body}" if title else body
+
+
+def _plot_outcome(fn, series, width, height):
+    try:
+        with np.errstate(all="ignore"):
+            return fn(series, width=width, height=height, title="t")
+    except Exception as exc:  # the old body's failure is part of its contract
+        return ("error", type(exc).__name__, str(exc))
+
+
+# few distinct values, so series overlap; NaN, zero and negative y,
+# constant x (every x equal) all come up
+_COORD = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e-300, float("nan")]),
+    st.floats(-50, 50),
+)
+
+
+@st.composite
+def _series(draw):
+    n_series = draw(st.integers(0, 11))
+    constant_x = draw(st.booleans())
+    out = {}
+    for i in range(n_series):
+        n = draw(st.integers(0, 40))
+        xs = [draw(_COORD) for _ in range(n)]
+        if constant_x:
+            xs = [xs[0]] * n if xs else xs
+        # unequal lengths: the old body paired them with zip()
+        ys = [draw(_COORD) for _ in range(n + draw(st.integers(-2, 2)) if n else 0)]
+        out[f"s{i}"] = (xs, ys)
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(_series(), st.integers(1, 80), st.integers(1, 20))
+@example({"a": ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]),
+          "b": ([0.0, 1.0, 2.0], [1.0, 0.5, 1.0])}, 72, 16)
+@example({"a": ([3.0, 3.0], [-1.0, -2.0])}, 10, 4)
+@example({"a": ([0.0, float("nan")], [1.0, 2.0]),
+          "b": ([1.0, 2.0], [float("nan"), 0.0])}, 72, 16)
+@example({"a": ([0.0, 1.0], [0.0, 0.0]), "b": ([0.0], [0.0])}, 5, 3)
+# every point dropped for a NaN: the NaN range draws an empty grid
+@example({"a": ([float("nan")], [1.0]), "b": ([2.0], [float("nan")])}, 8, 3)
+# series 0 and 9 share glyph '1': the tenth keeps the first's cell
+@example({f"s{i}": ([float(i % 9)], [1.0]) for i in range(10)}, 12, 4)
+def test_line_plot_matches_old_body(series, width, height):
+    new = _plot_outcome(line_plot, series, width, height)
+    old = _plot_outcome(_old_line_plot, series, width, height)
+    assert new == old
+
+
+def test_line_plot_matches_old_body_on_density_series():
+    from repro.stats.kde import gaussian_kde
+
+    rng = np.random.default_rng(3)
+    series = {}
+    for i, scale in enumerate((1.0, 4.0, 0.5)):
+        k = gaussian_kde(rng.gamma(2.0, scale, size=200))
+        series[f"g{i}"] = (k.grid, k.density)
+    assert line_plot(series) == _old_line_plot(series)
