@@ -6,7 +6,7 @@ FAULT_RATE ?= 0.5
 # run straight from the source tree; harmless when pip-installed
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test faults contracts obs engine ledger chaos golden serve serve-test bench-serve tabular-bench scale scale-bench regress engine-demo audit bench perfbench perfbench-trace examples artifact report trace profile verify-all clean
+.PHONY: install test faults contracts obs engine ledger chaos golden serve serve-test bench-serve tabular-bench scale scale-bench regress engine-demo audit bench perfbench perfbench-trace bench-pairs examples artifact report trace profile verify-all clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -116,6 +116,14 @@ perfbench:
 
 perfbench-trace:
 	for w in paper sharded serve; do $(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 12 --trace 1 || exit 1; done
+
+# alternating parent/working-tree pairs of one perfbench workload (seeds
+# 1..PAIRS): each end-to-end metric's median [q1, q3] per side, the
+# change/parent ratio and how many pairs the change read lower, e.g.
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=paper PAIRS=10
+PAIRS ?= 10
+bench-pairs:
+	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 examples:
 	for s in examples/*.py; do echo "== $$s"; $(PYTHON) $$s --help >/dev/null 2>&1 || true; done

@@ -26,7 +26,7 @@ fully cached run re-executes zero stage bodies.
 
 from repro.engine.cache import ArtifactCache, CacheMismatch, CacheWriteError
 from repro.engine.dag import GraphError, StageGraph
-from repro.engine.executor import EngineConfig, EngineRun, run_dag
+from repro.engine.executor import DeferredSeed, EngineConfig, EngineRun, run_dag
 from repro.engine.fingerprint import canonical, fingerprint, world_fingerprint
 from repro.engine.node import NodeResult, StageNode, StageTime
 from repro.engine.stages import PipelineParams, build_graph
@@ -43,6 +43,7 @@ __all__ = [
     "CacheWriteError",
     "GraphError",
     "StageGraph",
+    "DeferredSeed",
     "EngineConfig",
     "EngineRun",
     "run_dag",

@@ -180,9 +180,13 @@ class ArtifactCache:
                 f"cache directory; refusing to adopt it"
             )
         else:
-            self.root.mkdir(parents=True, exist_ok=True)
-            stamp = {k: CACHE_FORMAT[k] for k in sorted(CACHE_FORMAT)}
-            _atomic_write(meta, json.dumps(stamp, indent=2).encode("utf-8"))
+            self._stamp()
+
+    def _stamp(self) -> None:
+        """Create the directory with its format stamp."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        stamp = {k: CACHE_FORMAT[k] for k in sorted(CACHE_FORMAT)}
+        _atomic_write(self.root / META, json.dumps(stamp, indent=2).encode("utf-8"))
 
     @classmethod
     def if_exists(cls, root: str | Path) -> "ArtifactCache | None":
@@ -267,6 +271,9 @@ class ArtifactCache:
             "digest": hashlib.sha256(payload).hexdigest(),
             "payload": payload,
         }
+        if not self.root.is_dir():
+            # the directory was removed under this handle: restore it
+            self._stamp()
         with self._locked():
             _atomic_write(self.entry_path(node, key), pickle.dumps(envelope))
         _obs().event("cache.store", node, key=key[:16])

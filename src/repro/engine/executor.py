@@ -39,18 +39,25 @@ as itself, and aborts the run.
 
 from __future__ import annotations
 
+import copy
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.engine.cache import ArtifactCache, CacheWriteError
 from repro.engine.dag import StageGraph
 from repro.engine.fingerprint import fingerprint
 from repro.engine.node import NodeResult, StageNode, StageTime
-from repro.engine.supervise import NodePolicy, Supervisor, SupervisorConfig
+from repro.engine.supervise import (
+    IncompleteRunError,
+    NodePolicy,
+    Supervisor,
+    SupervisorConfig,
+)
 from repro.faults.chaos import ChaosKind
 from repro.obs.context import current as _obs
+from repro.obs.context import use as _obs_use
 from repro.pipeline.config import EngineConfig
 from repro.util.parallel import (
     DEADLINE_ERROR,
@@ -60,10 +67,24 @@ from repro.util.parallel import (
     parallel_map,
 )
 
-__all__ = ["EngineConfig", "EngineRun", "run_dag"]
+__all__ = ["DeferredSeed", "EngineConfig", "EngineRun", "run_dag"]
 
 #: the policy of an unsupervised run: one attempt (and no chaos plan)
 _ONE_ATTEMPT = SupervisorConfig(default=NodePolicy(max_attempts=1))
+
+
+class DeferredSeed:
+    """A seed artifact whose value is produced only when a node reads it.
+
+    ``read()`` returns the value.  A seed's digest keys its consumers, so
+    :func:`run_dag` calls ``read`` only when a node that consumes the
+    seed executes: a consumer served from the cache never produces it.
+    """
+
+    __slots__ = ("read",)
+
+    def __init__(self, read: Callable[[], Any]) -> None:
+        self.read = read
 
 
 @dataclass
@@ -78,7 +99,9 @@ class EngineRun:
     instead).  ``retries`` and ``virtual_time`` come from the
     supervisor's clock — deterministic for a given chaos/backoff seed.
     ``digests`` maps every artifact the run could address — seeds and
-    the outputs of every keyed node — to its content digest.
+    the outputs of every keyed node — to its content digest; ``lost``
+    names the outputs of its failed and skipped nodes.  :meth:`reader`
+    reads the others after the run returned.
     """
 
     artifacts: dict[str, Any] = field(default_factory=dict)
@@ -86,8 +109,11 @@ class EngineRun:
     results: list[NodeResult] = field(default_factory=list)
     failed: dict[str, str] = field(default_factory=dict)
     skipped: dict[str, str] = field(default_factory=dict)
+    lost: set[str] = field(default_factory=set)
     retries: int = 0
     virtual_time: float = 0.0
+    #: the finished execution, without its reference to this run
+    _state: "_Execution | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def cache_hits(self) -> int:
@@ -104,6 +130,31 @@ class EngineRun:
 
     def __getitem__(self, artifact: str) -> Any:
         return self.artifacts[artifact]
+
+    def reader(self, keep: Iterable[str] = ()) -> Callable[[Iterable[str]], dict[str, Any]]:
+        """``read(artifacts)`` of this finished run, usable after it returned.
+
+        The reader holds the ``keep`` artifacts this run has in memory
+        and loads any other through the run's own engine state: its
+        keys (none is computed again), its cache handle and its
+        producers.  An entry found missing or damaged is quarantined by
+        the cache, recomputed from inputs provided the same way, and
+        stored again.  Reads run under no observability context and land
+        in a scratch run, so this run's stages, results, metrics and
+        events stay as they were.  ``read`` raises
+        :class:`~repro.engine.supervise.IncompleteRunError` for an
+        artifact that could not be provided.
+        """
+        scratch = EngineRun(
+            artifacts={a: self.artifacts[a] for a in keep if a in self.artifacts},
+            digests=self.digests,
+            failed=dict(self.failed),
+            skipped=dict(self.skipped),
+            lost=set(self.lost),
+        )
+        post = copy.copy(self._state)
+        post.run, post.lost = scratch, scratch.lost
+        return post.read
 
 
 def _node_task(task: tuple) -> tuple[dict[str, Any], float]:
@@ -173,7 +224,8 @@ def run_dag(
     run = EngineRun(artifacts=dict(seeds or {}), digests=dict(seed_digests or {}))
     digests = run.digests
     for name in run.artifacts:
-        digests.setdefault(name, fingerprint("seed", name))
+        if name not in digests:
+            digests[name] = fingerprint("seed", name)
 
     generations = graph.generations()
     execution = _Execution(
@@ -185,6 +237,11 @@ def run_dag(
     execution.finish()
     run.retries = sup.retries
     run.virtual_time = sup.clock.now
+    # kept for EngineRun.reader, without this run (no cycle keeps its
+    # artifacts alive once its caller drops it) and without the caller's
+    # stage map (a post-run read records no stage)
+    execution.run, execution.stages = None, None
+    run._state = execution
     return run
 
 
@@ -253,7 +310,7 @@ class _Execution:
             *(n.inputs for n in graph.nodes if n.name in self.executes)
         )
         self.deferred: dict[str, StageNode] = {}
-        self.lost: set[str] = set()  # outputs of failed and skipped nodes
+        self.lost = run.lost  # outputs of failed and skipped nodes
 
     # ----------------------------------------------------------- scheduling
 
@@ -280,6 +337,16 @@ class _Execution:
         for node in self.deferred.values():
             self._hit(node, {})
         self.deferred.clear()
+
+    def read(self, artifacts: Iterable[str]) -> dict[str, Any]:
+        """Provide ``artifacts`` after the run (see :meth:`EngineRun.reader`)."""
+        artifacts = tuple(artifacts)
+        with _obs_use(None):
+            self._provide(artifacts)
+        missing = [a for a in artifacts if a not in self.run.artifacts]
+        if missing:
+            raise IncompleteRunError(self.run.failed, self.run.skipped, missing=missing)
+        return {a: self.run.artifacts[a] for a in artifacts}
 
     def _blocked(self, node: StageNode) -> list[str]:
         return sorted(
@@ -411,12 +478,18 @@ class _Execution:
 
     # ------------------------------------------------------------ execution
 
+    def _input(self, artifact: str) -> Any:
+        value = self.run.artifacts[artifact]
+        if isinstance(value, DeferredSeed):
+            value = self.run.artifacts[artifact] = value.read()
+        return value
+
     def _tasks(self, nodes: list[StageNode]) -> list[tuple]:
         return [
             (
                 node,
                 self.params,
-                {a: self.run.artifacts[a] for a in node.inputs},
+                {a: self._input(a) for a in node.inputs},
                 self.cache if node.cacheable else None,
                 self.keys[node.name],
                 self.stages is not None,

@@ -86,10 +86,10 @@ class IngestReport:
 
 
 def _harvest_edition(
-    args: tuple[SyntheticWorld, str, int, FaultConfig | None],
+    world: SyntheticWorld, args: tuple[str, int, FaultConfig | None]
 ) -> HarvestOutcome:
     """Harvest one edition, under the fault plan if any (module-level: picklable)."""
-    world, conference, year, faults = args
+    conference, year, faults = args
     key = f"{conference}-{year}"
     session = FaultSession(faults) if faults is not None else None
     ctx = _obs()
@@ -148,8 +148,9 @@ def ingest_world_resilient(
     """Scrape every edition of ``year``; under faults, never raising."""
     editions = _editions_of(world, year)
     report = IngestReport(total_editions=len(editions))
-    tasks = [(world, e.name, e.year, faults) for e in editions]
-    for result in parallel_map(_harvest_edition, tasks, parallel):
+    tasks = [(e.name, e.year, faults) for e in editions]
+    # the world goes to each worker process once, not with every task
+    for result in parallel_map(_harvest_edition, tasks, parallel, shared=world):
         report.losses.extend(result.losses)
         report.stats.merge(result.stats)
         if result.conference is not None:

@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Any, Callable
 
 from repro.contracts.audit import ContractReport
 from repro.contracts.schema import ValidationMode
@@ -65,32 +67,63 @@ _UNREAD = object()
 
 
 class _ReadOnAccess:
-    """A :class:`PipelineResult` field read from the run on first access.
+    """A :class:`PipelineResult` field read from its run on first access.
 
-    A warm run does not unpickle the world or the linked records; the
-    first access reads the one artifact through the run's own engine
-    call (``run_dag`` with ``want`` set to it), so an evicted or damaged
-    entry is recomputed and its cache entry healed.  The read is kept
-    out of the run's observability context: it belongs to the caller,
-    not to the run's accounting.  A result built without a reader (a
-    sharded run, or a hand-built one) reads ``None``.
+    A run that did not execute a field's artifacts leaves them in the
+    cache; the first access to the field reads them through the run's
+    own engine state (:meth:`~repro.engine.executor.EngineRun.reader`),
+    so an evicted or damaged entry is recomputed and its cache entry
+    healed, and the read stays out of the run's observability context:
+    it belongs to the caller, not to the run's accounting.  One read may
+    fill several fields (the result bundle is read as one); a field
+    assigned before that read keeps the assigned value.  A result built
+    without a reader (a sharded run, or a hand-built one) reads
+    ``empty()``; a ``required`` field has no default at all.
     """
+
+    def __init__(self, empty=lambda: None, required: bool = False) -> None:
+        self.empty, self.required = empty, required
 
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
 
     def __get__(self, result, owner=None):
         if result is None:
+            if self.required:  # the dataclass then sees no default
+                raise AttributeError(self.name)
             return _UNREAD  # the dataclass default
-        value = result.__dict__[self.name]
-        if value is _UNREAD:
-            read = result.__dict__.get("_read")
-            value = read(self.name) if read is not None else None
-            result.__dict__[self.name] = value
-        return value
+        slots = result.__dict__
+        if slots[self.name] is _UNREAD:
+            run = slots.get("_run")
+            if run is None or run.read is None:
+                slots[self.name] = self.empty()
+            else:
+                for name, value in run.read(self.name).items():
+                    run.own[name] = value
+                    if slots[name] is _UNREAD:
+                        slots[name] = value
+        return slots[self.name]
 
     def __set__(self, result, value) -> None:
         result.__dict__[self.name] = value
+
+
+@dataclass
+class _RunLink:
+    """What a result keeps of its run, outside its dataclass fields.
+
+    ``read(field)`` returns the values of the fields one read fills
+    (``read`` is ``None`` on a sharded run, which holds every field it
+    has); ``own`` maps each field held
+    or read so far to the run's own object; ``digests`` and ``engine``
+    are the engine seeds' digests and cache (see
+    :meth:`PipelineResult.engine_seeds`).
+    """
+
+    read: Callable[[str], dict[str, Any]] | None
+    own: dict[str, Any]
+    digests: dict[str, str]
+    engine: EngineConfig | None
 
 
 @dataclass
@@ -99,29 +132,37 @@ class PipelineResult:
 
     ``world``, ``linked`` and ``inference`` are ``None`` on a sharded
     run, which keeps no whole world; ``plan`` is its shard plan.
-    ``world`` and ``linked`` are read from the cache on first access
-    when the run was served from it.  ``timeline`` holds the world's
-    SC/ISC 2016–2020 timeline (empty on a sharded run, whose shards
-    build none).  ``stages`` maps each stage to its wall time: an engine
-    node's on a monolithic run, the ``plan`` and ``execute`` phases on a
-    sharded one.  ``executed_nodes``/``cached_nodes`` name the engine
-    nodes that ran and that were served from the cache.
+    ``timeline`` holds the world's SC/ISC 2016–2020 timeline (empty on
+    a sharded run, whose shards build none).  ``stages`` maps each stage
+    to its wall time: an engine node's on a monolithic run, the ``plan``
+    and ``execute`` phases on a sharded one.
+    ``executed_nodes``/``cached_nodes`` name the engine nodes that ran
+    and that were served from the cache.
+
+    A monolithic run holds only the fields whose artifacts it executed
+    (or, with an observability context, read for its gauges).  The
+    others are read on first access: the result bundle — ``dataset``,
+    ``timeline``, ``coverage``/``inference``, ``degraded`` and
+    ``contracts`` — in one read, ``world`` and ``linked`` each on their
+    own, all through the run's own engine state and outside its
+    accounting.  A warm run that only feeds cached experiments
+    (:meth:`engine_seeds`) reads none of them.
     """
 
-    dataset: AnalysisDataset
-    coverage: dict[str, float]
+    dataset: AnalysisDataset = _ReadOnAccess(required=True)
+    coverage: dict[str, float] = _ReadOnAccess(required=True)
     world_config: WorldConfig
     stages: dict[str, StageTime]
-    degraded: DegradedCoverage | None = None
-    contracts: ContractReport | None = None
+    degraded: DegradedCoverage | None = _ReadOnAccess()
+    contracts: ContractReport | None = _ReadOnAccess()
     obs: ObsContext | None = None
     executed_nodes: tuple[str, ...] = ()
     cached_nodes: tuple[str, ...] = ()
     world: SyntheticWorld | None = _ReadOnAccess()
     linked: LinkedData | None = _ReadOnAccess()
-    inference: InferenceOutcome | None = None
+    inference: InferenceOutcome | None = _ReadOnAccess()
     plan: ShardPlan | None = None
-    timeline: list[TimelineEdition] = field(default_factory=list)
+    timeline: list[TimelineEdition] = _ReadOnAccess(empty=list)
 
     @property
     def researchers(self) -> int:
@@ -150,15 +191,28 @@ class PipelineResult:
         The digests are the engine's content addresses of the run's own
         dataset and timeline, and ``engine`` carries the run's cache
         directory; both count only while ``dataset`` and ``timeline``
-        are the objects the run produced.  A reassigned field, a result
+        are the run's own, which this decides without reading them.  A
+        field not read yet is a :class:`~repro.engine.executor.DeferredSeed`,
+        read only if the node executes.  A reassigned field, a result
         made by :func:`dataclasses.replace` or a hand-built one gets
         ``None`` for both, so such a node computes and stores nothing.
         """
-        seeds = {"dataset": self.dataset, "timeline": self.timeline}
-        dataset, timeline, digests, engine = self.__dict__.get("_own", (None,) * 4)
-        if dataset is not self.dataset or timeline is not self.timeline:
-            return seeds, None, None
-        return seeds, digests, engine
+        run = self.__dict__.get("_run")
+        if run is not None:
+            from repro.engine import DeferredSeed
+
+            seeds: dict[str, object] = {}
+            for name in ("dataset", "timeline"):
+                value = self.__dict__[name]
+                if value is _UNREAD:
+                    seeds[name] = DeferredSeed(partial(getattr, self, name))
+                elif value is run.own.get(name, _UNREAD):
+                    seeds[name] = value
+                else:
+                    break
+            else:
+                return seeds, run.digests, run.engine
+        return {"dataset": self.dataset, "timeline": self.timeline}, None, None
 
 
 class UnsupportedRunError(ValueError):
@@ -221,10 +275,11 @@ def run_pipeline(
         )
         stages = {} if stages is None else stages
         if sharded:
-            run, fields, size, read, digests = _execute_sharded(rc, plan, stages)
+            run, fields, read, digests = _execute_sharded(rc, plan, stages)
         else:
-            run, fields, size, read, digests = _execute_monolithic(rc, world, stages)
-        fields["degraded"] = _merge_engine_accounting(fields["degraded"], run)
+            run, fields, read, digests = _execute_monolithic(
+                rc, world, stages, gauges=octx.enabled
+            )
         result = PipelineResult(
             **fields,
             stages=stages,
@@ -234,19 +289,21 @@ def run_pipeline(
             ),
             cached_nodes=tuple(r.node for r in run.results if r.cache_hit),
         )
-        result._read = read
         cache = rc.engine and rc.engine.cache_dir
-        result._own = (
-            result.dataset,
-            result.timeline,
-            digests,
-            EngineConfig(cache_dir=cache, refresh=rc.engine.refresh) if cache else None,
+        result._run = _RunLink(
+            read=read,
+            own={k: v for k, v in fields.items() if v is not _UNREAD},
+            digests=digests,
+            engine=EngineConfig(cache_dir=cache, refresh=rc.engine.refresh) if cache else None,
         )
         if octx.enabled:
             m = octx.metrics
             m.set_gauge("pipeline.researchers", result.researchers)
             m.set_gauge("pipeline.papers", result.dataset.papers.num_rows)
-            m.set_gauge(*size)
+            if sharded:
+                m.set_gauge("pipeline.shards", len(result.plan))
+            else:  # a dataset has one conferences row per harvested edition
+                m.set_gauge("pipeline.editions", result.dataset.conferences.num_rows)
             for name, stage in stages.items():
                 m.set_gauge(f"time.stage.{name}", stage.seconds)
         octx.event(
@@ -262,20 +319,20 @@ def run_pipeline(
 #: ``RunConfig.shards`` (or passes a plan), which selects the sharded graph
 run_sharded = run_pipeline
 
-# Each path returns (engine run, its result fields, its size gauge, the
-# reader of the fields left unread, the digests of its dataset and
-# timeline).  The engine is imported lazily:
-# repro.engine.stages imports the stage modules of this package, so a
-# top-level import would be circular.
+# Each path returns (engine run, its result fields, the reader of the
+# fields left unread, the digests of its dataset and timeline).  The
+# engine is imported lazily: repro.engine.stages imports the stage
+# modules of this package, so a top-level import would be circular.
 
-#: what a monolithic result holds once the run returns; ``world`` and
-#: ``linked`` are read when first accessed
-_MONOLITHIC_WANTS = ("dataset", "inference", "degraded", "contracts")
+#: the result bundle: the artifacts a monolithic result's bundle fields
+#: come from (``timeline`` too, unless the world was prebuilt)
+_BUNDLE = ("dataset", "inference", "degraded", "contracts")
 
 
 def _execute_monolithic(
-    rc: RunConfig, world: SyntheticWorld | None, stages: dict[str, StageTime]
+    rc: RunConfig, world: SyntheticWorld | None, stages: dict[str, StageTime], gauges: bool
 ):
+    """The stage graph, reading its result bundle only if ``gauges`` need it."""
     from repro.engine import (
         PipelineParams,
         build_graph,
@@ -292,51 +349,53 @@ def _execute_monolithic(
         parallel=rc.parallel,
     )
     seeds = {} if world is None else {"world": world}
-    graph = build_graph(params, prebuilt_world=world is not None)
-    seed_digests = {name: world_fingerprint(w) for name, w in seeds.items()}
-
-    def execute(want, stages=None):
-        run = run_dag(
-            graph,
-            params,
-            seeds=seeds,
-            seed_digests=seed_digests,
-            engine=rc.engine,
-            stages=stages,
-            want=want,
-        )
-        _require(run, *want)
-        return run
-
-    run = execute(_MONOLITHIC_WANTS + (() if seeds else ("timeline",)), stages)
-    # artifacts this run already holds (executed, or the prebuilt world)
-    # are served from memory; the others are read through the engine
-    held = {a: run[a] for a in ("world", "linked") if a in run.artifacts}
-
-    def read(artifact: str):
-        if artifact in held:
-            return held[artifact]
-        with _obs_use(None):
-            return execute((artifact,))[artifact]
-
-    fields = dict(
-        dataset=run["dataset"],
-        coverage=run["inference"].coverage,
-        world_config=world.config if world is not None else rc.world or WorldConfig(),
-        degraded=run["degraded"],
-        contracts=run["contracts"],
-        inference=run["inference"],
-        timeline=world.timeline if world is not None else run["timeline"],
+    bundle = _BUNDLE + (() if seeds else ("timeline",))
+    run = run_dag(
+        build_graph(params, prebuilt_world=world is not None),
+        params,
+        seeds=seeds,
+        seed_digests={name: world_fingerprint(w) for name, w in seeds.items()},
+        engine=rc.engine,
+        stages=stages,
+        want=bundle if gauges else (),
     )
-    # a dataset has one conferences row per harvested edition
-    size = ("pipeline.editions", run["dataset"].conferences.num_rows)
+    _require(run, *bundle)
+    # artifacts this run holds (executed, or the prebuilt world) are
+    # served from memory; the others are read through the engine
+    reader = run.reader(keep=bundle + ("world", "linked"))
+    accounting = _engine_accounting(run)
+
+    def bundle_fields(art) -> dict[str, Any]:
+        return dict(
+            dataset=art["dataset"],
+            coverage=art["inference"].coverage,
+            degraded=_fold_accounting(art["degraded"], accounting),
+            contracts=art["contracts"],
+            inference=art["inference"],
+            timeline=world.timeline if world is not None else art["timeline"],
+        )
+
+    def read(name: str) -> dict[str, Any]:
+        if name in ("world", "linked"):
+            return reader((name,))
+        return bundle_fields(reader(bundle))
+
+    held = all(a in run.artifacts for a in bundle)
+    fields = bundle_fields(run.artifacts) if held else dict.fromkeys(
+        ("dataset", "coverage", "degraded", "contracts", "inference", "timeline"), _UNREAD
+    )
+    fields.update(
+        world_config=world.config if world is not None else rc.world or WorldConfig(),
+        world=_UNREAD,
+        linked=_UNREAD,
+    )
     digests = {
         "dataset": run.digests["dataset"],
         # a prebuilt world's timeline is addressed through the world's digest
         "timeline": run.digests.get("timeline")
         or fingerprint("artifact", run.digests["world"], "timeline"),
     }
-    return run, fields, size, read, digests
+    return run, fields, read, digests
 
 
 def _execute_sharded(
@@ -355,12 +414,13 @@ def _execute_sharded(
         dataset=merged.dataset,
         coverage=merged.coverage,
         world_config=wc,
-        degraded=merged.degraded,
+        degraded=_fold_accounting(merged.degraded, _engine_accounting(run)),
         plan=plan,
+        timeline=[],
     )
     # the merge holds the dataset; a sharded run's timeline is always empty
     digests = {"dataset": run.digests["merged"], "timeline": fingerprint("timeline", [])}
-    return run, fields, ("pipeline.shards", len(plan)), None, digests
+    return run, fields, None, digests
 
 
 @contextmanager
@@ -375,24 +435,31 @@ def _require(run, *artifacts: str) -> None:
     """Failure isolation kept the DAG alive, but a result needs these artifacts."""
     from repro.engine import IncompleteRunError
 
-    missing = [a for a in artifacts if a not in run.artifacts]
+    missing = [a for a in artifacts if a in run.lost or a not in run.digests]
     if missing:
         raise IncompleteRunError(run.failed, run.skipped, missing=missing)
 
 
-def _merge_engine_accounting(degraded, run) -> DegradedCoverage | None:
-    """Fold ``EngineRun.failed/skipped/retries`` into the coverage report.
+def _engine_accounting(run) -> dict[str, Any] | None:
+    """``EngineRun.failed/skipped/retries`` as the run left them, or ``None``.
 
-    A clean supervised (or unsupervised) run returns ``degraded``
-    untouched.
+    A clean supervised (or unsupervised) run has nothing to fold.
     """
     if run.completed and run.retries == 0:
-        return degraded
-    base = degraded if degraded is not None else DegradedCoverage()
-    return replace(
-        base,
+        return None
+    return dict(
         failed_nodes=tuple(sorted(run.failed)),
         skipped_nodes=tuple(sorted(run.skipped)),
         node_retries=run.retries,
-        virtual_time=base.virtual_time + run.virtual_time,
+        virtual_time=run.virtual_time,
+    )
+
+
+def _fold_accounting(degraded, accounting) -> DegradedCoverage | None:
+    """Fold the engine's accounting into the coverage report."""
+    if accounting is None:
+        return degraded
+    base = degraded if degraded is not None else DegradedCoverage()
+    return replace(
+        base, **{**accounting, "virtual_time": base.virtual_time + accounting["virtual_time"]}
     )

@@ -4,8 +4,8 @@ Each builder takes a run's dataset and its SC/ISC timeline and returns
 ``(payload, text)``.  :func:`run_experiment` runs one as the engine node
 ``experiment:<id>``, fed the result's dataset and timeline as seeds:
 against the run's artifact cache a warm call loads the stored
-``(payload, text)`` and a cold one computes and stores it; a run without
-a cache just computes it.  The benchmark harness times the calls and
+``(payload, text)``, reading neither seed, and a cold one computes and
+stores it; a run without a cache just computes it.  The benchmark harness times the calls and
 prints the text, and ``examples/regenerate_paper.py`` runs them all.
 """
 
@@ -197,7 +197,9 @@ def run_experiment(exp_id: str, result: PipelineResult) -> tuple[Any, str]:
     runs with the result's dataset and timeline as seeds
     (:meth:`PipelineResult.engine_seeds`) and outside the caller's
     observability context, so reading an experiment never changes a
-    run's metrics or events.
+    run's metrics or events.  A seed the result has not read yet is
+    read only if the node executes: a warm call loads its one entry and
+    never touches the dataset.
     """
     if exp_id not in EXPERIMENTS:
         raise KeyError(

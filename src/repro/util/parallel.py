@@ -20,16 +20,21 @@ in this reproduction.  The serial and parallel paths are exercised against
 each other in the test suite.  A pooled map submits every item, then
 waits for all of them, each within an optional wall-clock deadline (the
 engine's supervised node deadlines, see :mod:`repro.engine.supervise`).
+A value every task reads (the ingest stage's world) is handed to each
+worker process once, as ``shared``, instead of riding with every item;
+and the parent's heap is frozen while the pool runs, so forked workers'
+collections neither scan nor copy the objects they inherited.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 import traceback as _tb
 from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.obs.context import ObsEnvelope, capture
 from repro.obs.context import current as _obs_current
@@ -84,6 +89,39 @@ class _CaptureErrors:
                 message=str(exc),
                 traceback=_tb.format_exc(),
             )
+
+
+#: ``shared`` not given / a task pickled for a worker, which reads ``_shared``
+_UNSHARED = object()
+#: the ``shared`` value of the pool this worker process belongs to
+_shared: Any = None
+
+
+def _share(value: Any) -> None:
+    """Pool initializer: install the map's ``shared`` value in this worker."""
+    global _shared
+    _shared = value
+
+
+class _WithShared:
+    """Picklable task ``fn(shared, item)`` whose pickle leaves ``shared`` out.
+
+    In the parent the wrapper holds the value; pickled for a worker it
+    carries only ``fn`` and reads the value the pool initializer
+    installed (inherited at fork, or pickled once per worker process).
+    """
+
+    __slots__ = ("_fn", "_value")
+
+    def __init__(self, fn: Callable, value: Any = _UNSHARED) -> None:
+        self._fn = fn
+        self._value = value
+
+    def __call__(self, item):
+        return self._fn(_shared if self._value is _UNSHARED else self._value, item)
+
+    def __reduce__(self):
+        return (_WithShared, (self._fn,))
 
 
 class _ObsTask:
@@ -144,6 +182,7 @@ def parallel_map(
     config: ParallelConfig | None = None,
     capture_errors: bool = False,
     deadlines: Sequence[float | None] | None = None,
+    shared: Any = _UNSHARED,
 ) -> list[R]:
     """Map ``fn`` over ``items``, preserving input order.
 
@@ -165,6 +204,10 @@ def parallel_map(
     process cannot be reasoned with).  The other items are unaffected.
     A serial map cannot interrupt an in-process call and ignores them.
 
+    With ``shared`` given, each call is ``fn(shared, item)``: a pooled
+    map hands ``shared`` to every worker process once (inherited at fork,
+    pickled once per worker otherwise), so only the items travel per task.
+
     When an observability context is active (:func:`repro.obs.current`),
     every task runs under a per-item capture context — in the serial
     path too, so span IDs and metrics cannot depend on worker count —
@@ -175,6 +218,8 @@ def parallel_map(
     if deadlines is not None and len(deadlines) != len(seq):
         raise ValueError("deadlines must align with items")
     cfg = config or ParallelConfig()
+    if shared is not _UNSHARED:
+        fn = _WithShared(fn, shared)
     if capture_errors:
         fn = _CaptureErrors(fn)
     ctx = _obs_current()
@@ -190,7 +235,9 @@ def parallel_map(
     if workers <= 1 or not seq:
         raw = [mapped(x) for x in work]
     else:
-        raw = _pool_map(mapped, work, workers, deadlines or [None] * len(seq))
+        raw = _pool_map(
+            mapped, work, workers, deadlines or [None] * len(seq), shared
+        )
     if not observed:
         return raw
     results: list[R] = []
@@ -205,28 +252,46 @@ def parallel_map(
 
 
 def _pool_map(
-    fn: Callable, work: Sequence, workers: int, deadlines: Sequence[float | None]
+    fn: Callable,
+    work: Sequence,
+    workers: int,
+    deadlines: Sequence[float | None],
+    shared: Any = _UNSHARED,
 ) -> list:
-    """Submit every item to one pool; wait for each within its deadline."""
-    pool = ProcessPoolExecutor(max_workers=workers)
+    """Submit every item to one pool; wait for each within its deadline.
+
+    The parent's heap stays frozen (:func:`gc.freeze`) while the pool
+    runs, unless something else froze it already.
+    """
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    init = {} if shared is _UNSHARED else {"initializer": _share, "initargs": (shared,)}
     expired: dict[int, TaskError] = {}
     try:
-        futures = [pool.submit(fn, w) for w in work]
-        start = time.monotonic()
-        pending = set(futures)
-        while pending:
-            live = [d for f, d in zip(futures, deadlines) if f in pending and d is not None]
-            timeout = max(0.0, min(live) - (time.monotonic() - start)) if live else None
-            _, pending = wait(pending, timeout=timeout)
-            now = time.monotonic() - start
-            for i, (f, d) in enumerate(zip(futures, deadlines)):
-                if f in pending and d is not None and now >= d:
-                    f.cancel()
-                    pending.discard(f)
-                    expired[i] = TaskError(
-                        kind=DEADLINE_ERROR,
-                        message=f"task {i} exceeded its {d:g}s deadline",
-                    )
+        pool = ProcessPoolExecutor(max_workers=workers, **init)
+        try:
+            futures = [pool.submit(fn, w) for w in work]
+            start = time.monotonic()
+            pending = set(futures)
+            while pending:
+                live = [
+                    d for f, d in zip(futures, deadlines) if f in pending and d is not None
+                ]
+                timeout = max(0.0, min(live) - (time.monotonic() - start)) if live else None
+                _, pending = wait(pending, timeout=timeout)
+                now = time.monotonic() - start
+                for i, (f, d) in enumerate(zip(futures, deadlines)):
+                    if f in pending and d is not None and now >= d:
+                        f.cancel()
+                        pending.discard(f)
+                        expired[i] = TaskError(
+                            kind=DEADLINE_ERROR,
+                            message=f"task {i} exceeded its {d:g}s deadline",
+                        )
+        finally:
+            pool.shutdown(wait=not expired, cancel_futures=True)
     finally:
-        pool.shutdown(wait=not expired, cancel_futures=True)
+        if freeze:
+            gc.unfreeze()
     return [expired[i] if i in expired else f.result() for i, f in enumerate(futures)]

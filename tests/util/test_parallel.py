@@ -116,3 +116,63 @@ class TestCaptureErrors:
 
         err = TaskError(kind="ValueError", message="boom")
         assert pickle.loads(pickle.dumps(err)) == err
+
+
+def _add_shared(shared: int, x: int) -> int:
+    return shared + x
+
+
+def _sleep_for(x: float) -> float:
+    import time
+
+    time.sleep(x)
+    return x
+
+
+POOL = ParallelConfig(workers=2, min_items_per_worker=1)
+
+
+class TestShared:
+    def test_shared_value_reaches_every_call(self):
+        items = list(range(8))
+        serial = parallel_map(_add_shared, items, shared=100)
+        assert serial == [100 + x for x in items]
+        assert parallel_map(_add_shared, items, POOL, shared=100) == serial
+
+    def test_shared_value_with_captured_errors(self):
+        out = parallel_map(_add_shared, [1, "x"], POOL, capture_errors=True, shared=1)
+        assert out[0] == 2 and isinstance(out[1], TaskError)
+
+
+class TestHeapFreeze:
+    """A pooled map freezes the parent's heap only while its pool runs."""
+
+    def test_unfrozen_after_a_pooled_map(self):
+        import gc
+
+        assert parallel_map(_square, list(range(8)), POOL) == [x * x for x in range(8)]
+        assert gc.get_freeze_count() == 0
+
+    def test_unfrozen_after_an_item_raises(self):
+        import gc
+
+        with pytest.raises(ValueError, match="unlucky item 13"):
+            parallel_map(_square_unless_13, list(range(10, 16)), POOL)
+        assert gc.get_freeze_count() == 0
+
+    def test_unfrozen_after_a_deadline_expires(self):
+        import gc
+
+        out = parallel_map(_sleep_for, [0.01, 2.0], POOL, deadlines=[None, 0.2])
+        assert out[0] == 0.01 and isinstance(out[1], TaskError)
+        assert gc.get_freeze_count() == 0
+
+    def test_a_caller_freeze_is_left_in_place(self):
+        import gc
+
+        gc.freeze()
+        try:
+            parallel_map(_square, list(range(8)), POOL)
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
